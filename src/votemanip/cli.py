@@ -383,7 +383,12 @@ def _build_parser() -> argparse.ArgumentParser:
     man = sub.add_parser("manipulate", help="decide coalition manipulation")
     man.add_argument("instance", help="instance file, or - for stdin")
     man.add_argument("--unique", action="store_true", help="require a strict unique win")
-    man.add_argument("--cap", type=int, default=DEFAULT_NODE_CAP, help="leaf-evaluation budget")
+    man.add_argument(
+        "--cap",
+        type=int,
+        default=DEFAULT_NODE_CAP,
+        help="search budget in terminals: evaluated leaves plus cut branches",
+    )
     man.add_argument("--witness-out", help="also write the witness ballots to this file")
     man.set_defaults(func=_cmd_manipulate)
 
@@ -402,7 +407,12 @@ def _build_parser() -> argparse.ArgumentParser:
     ver = sub.add_parser("verify", help="end-to-end reduction cross-check")
     ver.add_argument("--alpha", required=True, help="hard scoring vector")
     ver.add_argument("--partition", required=True, help="space-separated positive integers")
-    ver.add_argument("--cap", type=int, default=DEFAULT_NODE_CAP, help="leaf-evaluation budget")
+    ver.add_argument(
+        "--cap",
+        type=int,
+        default=DEFAULT_NODE_CAP,
+        help="search budget in terminals: evaluated leaves plus cut branches",
+    )
     ver.set_defaults(func=_cmd_verify)
 
     fam = sub.add_parser("family", help="print a family's vector at a given size")

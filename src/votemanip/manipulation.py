@@ -1,16 +1,18 @@
 """Coalition-manipulation solvers and the class-based dispatcher.
 
 All-equal and plurality-like vectors admit direct polynomial solvers; hard
-vectors go through an exhaustive, deterministic scan of coalition ballot
-assignments with a leaf-evaluation budget.  Every "yes" answer carries a
-witness (one ballot per coalition voter) and is re-evaluated before being
-returned.
+vectors go through an exact, deterministic depth-first search over the
+distinct score rows a coalition voter can cast, with a budget on search
+terminals.  Every public solver validates its instance first.  Every
+"yes" answer carries a witness (one ballot per coalition voter) and is
+re-evaluated before being returned.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, replace
+from operator import add
 from typing import Iterable
 
 from .core import (
@@ -25,13 +27,7 @@ from .core import (
     unique_winner,
     winners,
 )
-from .dichotomy import RuleClass, classify, family_vector
-
-try:
-    from . import _bruteforce as _fast
-except ImportError:  # extension not built; pure fallback only
-    _fast = None
-from . import _bruteforce_py as _pure
+from .dichotomy import RuleClass, classify, family_vector, normalize_last_zero
 
 DEFAULT_NODE_CAP = 10**7
 
@@ -39,24 +35,26 @@ MODE_ALL_EQUAL = "all-equal"
 MODE_PLURALITY_LIKE = "plurality-like"
 MODE_BRUTE_FORCE = "brute-force"
 
-# Compiled-core guard: the largest score magnitude any leaf can reach must
-# stay below this for the 64-bit backend to be safe.
-_INT64_GUARD = 2**62
-
 
 class WrongClass(ElectionError):
     """A class-specific solver was handed a vector of another class."""
 
 
 class CapExhausted(ElectionError):
-    """Answering would need more leaf evaluations than the budget allows."""
+    """Answering would need more search terminals than the budget allows.
+
+    Terminals are the evaluated leaves plus the cut branches of the
+    search tree.  ``search_space`` is the number of leaves an unpruned
+    search would visit: distinct score rows to the power of the
+    coalition size.
+    """
 
     def __init__(self, node_cap: int, search_space: int):
         self.node_cap = node_cap
         self.search_space = search_space
         super().__init__(
-            f"enumeration needs more than {node_cap} leaf evaluations "
-            f"(search space has {search_space})"
+            f"search needs more than {node_cap} terminals, counting leaf evaluations "
+            f"and cut branches (search space has {search_space} leaves)"
         )
 
 
@@ -83,6 +81,21 @@ def instance_vector(inst: ManipulationInstance) -> ScoringVector:
 
         raise UnsupportedM("family-based instance with no fixed voters: candidate count unknown")
     return family_vector(inst.alpha, len(inst.s_voters[0].order))
+
+
+def _validated(inst: ManipulationInstance) -> tuple[ManipulationInstance, ScoringVector]:
+    """The instance with its family resolved to a vector, once it is valid.
+
+    An out-of-range preferred candidate raises CandidateOutOfRange; any
+    other violation raises InvalidInstance listing every issue.
+    """
+    vec = instance_vector(inst)
+    if inst.alpha is not vec:
+        inst = replace(inst, alpha=vec)
+    if not 1 <= inst.p <= vec.m:
+        raise CandidateOutOfRange(f"preferred candidate {inst.p} outside 1..{vec.m}")
+    require_valid(inst)
+    return inst, vec
 
 
 def normalize_p_first(orders: Iterable[Order], p: int) -> tuple[Order, ...]:
@@ -129,7 +142,7 @@ def solve_all_equal(inst: ManipulationInstance, unique: bool = False) -> Manipul
     Making p *a* winner is therefore trivially possible, and making p the
     *unique* winner is possible only in a one-candidate election.
     """
-    vec = instance_vector(inst)
+    inst, vec = _validated(inst)
     if classify(vec).tag is not RuleClass.ALL_EQUAL:
         raise WrongClass("solver requires an all-equal scoring vector")
     if unique and vec.m > 1:
@@ -145,7 +158,7 @@ def solve_plurality_like(inst: ManipulationInstance, unique: bool = False) -> Ma
     below the top are interchangeable.  So p can be made a (unique)
     winner exactly when the all-p-first profile does it.
     """
-    vec = instance_vector(inst)
+    inst, vec = _validated(inst)
     if classify(vec).tag is not RuleClass.PLURALITY_LIKE:
         raise WrongClass("solver requires a plurality-like scoring vector")
     witness = tuple(_canonical_ballot(vec.m, inst.p) for _ in inst.t_weights)
@@ -156,13 +169,32 @@ def solve_plurality_like(inst: ManipulationInstance, unique: bool = False) -> Ma
     return ManipulationAnswer(True, witness, MODE_PLURALITY_LIKE)
 
 
-def _pfirst_ballots(m: int, p: int) -> list[Order]:
-    others = [c for c in range(1, m + 1) if c != p]
-    return [(p,) + rest for rest in itertools.permutations(others)]
+def _row_ballots(entries: tuple[int, ...], m: int, p: int | None) -> list[Order]:
+    """The lexicographically first ballot of each distinct score row, in order.
 
+    Ballots that differ only inside a run of equal vector entries give
+    every candidate the same score; the first of them lists each run's
+    candidates in increasing order.  With ``p`` set, p is pinned to the
+    top and the runs start below it.  Choosing each run's candidates as
+    a combination of the unused ones, runs left to right, yields exactly
+    those ballots in lexicographic order.
+    """
+    head: Order = (p,) if p is not None else ()
+    runs = [len(tuple(run)) for _, run in itertools.groupby(entries[len(head):])]
+    pool = [c for c in range(1, m + 1) if c != p]
+    ballots: list[Order] = []
 
-def _all_ballots(m: int) -> list[Order]:
-    return list(itertools.permutations(range(1, m + 1)))
+    def extend(prefix: Order, left: list[int], i: int) -> None:
+        # recursion depth is the number of runs, and k runs already mean
+        # at least k! ballots, so the depth stays far below any limit
+        if i == len(runs):
+            ballots.append(prefix)
+            return
+        for block in itertools.combinations(left, runs[i]):
+            extend(prefix + block, [c for c in left if c not in block], i + 1)
+
+    extend(head, pool, 0)
+    return ballots
 
 
 def _ballot_row(ballot: Order, entries: tuple[int, ...]) -> list[int]:
@@ -172,25 +204,73 @@ def _ballot_row(ballot: Order, entries: tuple[int, ...]) -> list[int]:
     return row
 
 
-def _fits_int64(weights, base, entries) -> bool:
-    top = max((abs(e) for e in entries), default=0)
-    reach = max((abs(b) for b in base), default=0) + sum(w * top for w in weights)
-    return reach < _INT64_GUARD
+def _search(weights, rows, base, p, top, unique, node_cap):
+    """First winning pick of one score row per coalition voter, or None.
 
+    ``rows[j][c]`` is what row j gives candidate c (0-based) at weight 1
+    and ``base`` what the fixed voters give, both on a vector shifted so
+    its last entry is 0; ``top`` is the shifted top entry.  Voter i picks
+    ``rows[picks[i]]``; voters are assigned left to right and each tries
+    rows in order, so the first winning assignment reached is the
+    lexicographically first one.  Three cuts keep that witness:
 
-def _pick_backend(backend: str, weights, base, entries):
-    if backend == "python":
-        return _pure
-    fits = _fits_int64(weights, base, entries)
-    if backend == "compiled":
-        if _fast is None:
-            raise ElectionError("compiled search core is not available")
-        if not fits:
-            raise ElectionError("scores would overflow the compiled search core")
-        return _fast
-    if backend != "auto":
-        raise ValueError(f"unknown backend {backend!r}")
-    return _fast if (_fast is not None and fits) else _pure
+    * monotone bound: shifted entries are >= 0, so rivals never lose
+      points and p gains at most ``top`` times the weight still to vote;
+      a branch dies once a rival beats that best score (or ties it, when
+      ``unique``), and a leaf is a win exactly when it is not cut;
+    * row dedup: ``rows`` holds each distinct score row once;
+    * equal-weight symmetry: voter i picks no earlier row than voter i-1
+      when their weights are equal, since swapping their picks changes
+      no score and only the nondecreasing order can come first.
+
+    The depth-first walk is iterative, so coalition size meets no
+    recursion limit.  ``node_cap`` bounds terminals, the evaluated leaves
+    plus cut branches; every internal node has a child, so it bounds the
+    work.  Raises CapExhausted as soon as one more terminal than the
+    budget would be needed, so an answer returned is always exact.
+    """
+    n = len(weights)
+    nrows = len(rows)
+    slack = [0] * (n + 1)  # the most p can still gain from voters i..n-1
+    for i in range(n - 1, -1, -1):
+        slack[i] = slack[i + 1] + weights[i] * top
+    strict = 1 if unique else 0
+    by_weight: dict[int, tuple[list[int], list[list[int]]]] = {}
+    for w in weights:
+        if w not in by_weight:
+            by_weight[w] = (
+                [w * row[p] for row in rows],
+                [[w * x for x in row[:p] + row[p + 1:]] for row in rows],
+            )
+    gains = [by_weight[w] for w in weights]
+    picks = [0] * n
+    score_p = [base[p]] + [0] * n
+    score_rivals = [base[:p] + base[p + 1:]] + [None] * n
+    terminals = 0
+    level = 0
+    while True:
+        rivals = score_rivals[level]
+        dead = bool(rivals) and max(rivals) > score_p[level] + slack[level] - strict
+        if level < n and not dead:
+            same = level and weights[level] == weights[level - 1]
+            pick = picks[level - 1] if same else 0
+        else:
+            if terminals >= node_cap:
+                raise CapExhausted(node_cap, nrows**n)
+            terminals += 1
+            if not dead:
+                return picks
+            level -= 1
+            while level >= 0 and picks[level] == nrows - 1:
+                level -= 1
+            if level < 0:
+                return None
+            pick = picks[level] + 1
+        picks[level] = pick
+        gain_p, gain_rivals = gains[level]
+        score_p[level + 1] = score_p[level] + gain_p[pick]
+        score_rivals[level + 1] = list(map(add, score_rivals[level], gain_rivals[pick]))
+        level += 1
 
 
 def brute_force(
@@ -199,42 +279,34 @@ def brute_force(
     node_cap: int = DEFAULT_NODE_CAP,
     *,
     restrict_p_first: bool = True,
-    backend: str = "auto",
 ) -> ManipulationAnswer:
-    """Exhaustive scan over coalition ballot assignments.
+    """Exact search over coalition ballot assignments.
 
-    Ballots are enumerated per voter in lexicographic order (with the
-    preferred candidate pinned first unless ``restrict_p_first`` is off),
-    voters left to right, and the first satisfying assignment wins, so
-    answers and witnesses are reproducible.  Raises CapExhausted once
-    answering would need more than ``node_cap`` leaf evaluations; any
+    Each coalition voter picks one distinct score row, represented by its
+    lexicographically first ballot (with the preferred candidate pinned
+    first unless ``restrict_p_first`` is off).  Voters are assigned left
+    to right and the first satisfying assignment in lexicographic ballot
+    order wins, so answers and witnesses are reproducible.  A monotone
+    score bound and an equal-weight symmetry cut prune branches that
+    cannot hold that witness (see :func:`_search`).
+
+    ``node_cap`` budgets search-tree terminals: evaluated leaves plus cut
+    branches.  Raises CapExhausted once answering would need more; any
     decision reached within the budget is exact.
-
-    ``backend`` picks the enumeration core: "auto" uses the compiled
-    extension when it is importable and every reachable score provably
-    fits in a signed 64-bit integer, and the pure-Python core otherwise;
-    "python" / "compiled" force one side.
     """
-    vec = instance_vector(inst)
-    m = vec.m
-    if not 1 <= inst.p <= m:
-        raise CandidateOutOfRange(f"preferred candidate {inst.p} outside 1..{m}")
-    base_table = tally(inst.s_voters, vec)
-    base = [base_table[c] for c in range(1, m + 1)]
-    ballots = _pfirst_ballots(m, inst.p) if restrict_p_first else _all_ballots(m)
-    ballot_scores = [_ballot_row(b, vec.entries) for b in ballots]
-    weights = list(inst.t_weights)
-    core = _pick_backend(backend, weights, base, vec.entries)
-    cap = max(0, min(node_cap, _INT64_GUARD))
-    status, picks, _leaves = core.search_ballots(
-        weights, ballot_scores, base, inst.p - 1, bool(unique), cap
+    inst, vec = _validated(inst)
+    shifted = normalize_last_zero(vec)
+    base_table = tally(inst.s_voters, shifted)
+    base = [base_table[c] for c in range(1, vec.m + 1)]
+    ballots = _row_ballots(vec.entries, vec.m, inst.p if restrict_p_first else None)
+    rows = [_ballot_row(b, shifted.entries) for b in ballots]
+    picks = _search(
+        list(inst.t_weights), rows, base, inst.p - 1, shifted.entries[0], unique, node_cap
     )
-    if status == _pure.STATUS_CAP:
-        raise CapExhausted(node_cap, len(ballots) ** len(weights))
-    if status == _pure.STATUS_YES:
-        witness = tuple(ballots[i] for i in picks)
-        return _confirmed_yes(inst, vec, witness, unique, MODE_BRUTE_FORCE)
-    return ManipulationAnswer(False, None, MODE_BRUTE_FORCE)
+    if picks is None:
+        return ManipulationAnswer(False, None, MODE_BRUTE_FORCE)
+    witness = tuple(ballots[i] for i in picks)
+    return _confirmed_yes(inst, vec, witness, unique, MODE_BRUTE_FORCE)
 
 
 def solve(
@@ -242,17 +314,13 @@ def solve(
     unique: bool = False,
     node_cap: int = DEFAULT_NODE_CAP,
 ) -> ManipulationAnswer:
-    """Validate, classify, and route to the matching solver.
+    """Classify and route to the matching solver, which validates the instance.
 
     All-equal and plurality-like instances are answered in polynomial
     time; hard instances fall through to :func:`brute_force` with the
     given ``node_cap``.
     """
-    vec = instance_vector(inst)
-    if not isinstance(inst.alpha, ScoringVector):
-        inst = replace(inst, alpha=vec)
-    require_valid(inst)
-    tag = classify(vec).tag
+    tag = classify(instance_vector(inst)).tag
     if tag is RuleClass.ALL_EQUAL:
         return solve_all_equal(inst, unique)
     if tag is RuleClass.PLURALITY_LIKE:

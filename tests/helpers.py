@@ -6,7 +6,7 @@ Everything here is deterministic given a seed so failures reproduce.
 import itertools
 import random
 
-from votemanip import ManipulationInstance, ScoringVector, WeightedVote
+from votemanip import ManipulationInstance, ScoringVector, WeightedVote, tally
 
 
 def random_order(rng, m):
@@ -96,3 +96,85 @@ def exhaustive_partition(ks):
         if sum(ks[i - 1] for i in subset) == target:
             hits.append(subset)
     return hits
+
+
+def search_ballots(weights, ballot_scores, base, p, unique):
+    """Depth-first product scan over per-voter ballot choices.
+
+    weights: coalition voters' weights, leftmost voter varying slowest.
+    ballot_scores: for each candidate ballot, the per-candidate (0-based)
+        score row it contributes at weight 1; the same rows apply to every
+        voter.  Ballot index order defines the enumeration order.
+    base: per-candidate scores contributed by the fixed voters.
+    p: 0-based index of the candidate that must win.
+    unique: require a strict win instead of a tie for first place.
+
+    Returns the per-voter ballot index of the first satisfying
+    assignment, or None.  No pruning: every leaf is evaluated.
+    """
+    n = len(weights)
+    nb = len(ballot_scores)
+    m = len(base)
+    contrib = [[[w * x for x in row] for row in ballot_scores] for w in weights]
+    choice = [0] * n
+    rows = [list(base)] + [[0] * m for _ in range(n)]
+    level = 0
+    while True:
+        while level < n:
+            choice[level] = 0
+            _add(rows[level], contrib[level][0], rows[level + 1])
+            level += 1
+        if _wins(rows[n], p, unique):
+            return list(choice)
+        level = n - 1
+        while level >= 0 and choice[level] == nb - 1:
+            level -= 1
+        if level < 0:
+            return None
+        choice[level] += 1
+        _add(rows[level], contrib[level][choice[level]], rows[level + 1])
+        level += 1
+
+
+def _add(src, extra, dst):
+    for i, v in enumerate(src):
+        dst[i] = v + extra[i]
+
+
+def _wins(scores, p, unique):
+    sp = scores[p]
+    for c, v in enumerate(scores):
+        if c == p:
+            continue
+        if v > sp or (unique and v == sp):
+            return False
+    return True
+
+
+def product_oracle(inst, unique=False, restrict_p_first=True):
+    """Reference (decision, witness) from the unpruned product scan.
+
+    Every ballot (every p-first ballot when restricted) is a choice for
+    every coalition voter, in lexicographic order, so the witness is the
+    lexicographically first winning assignment.  Needs a valid instance
+    with a concrete vector.
+    """
+    vec = inst.alpha
+    m = vec.m
+    if restrict_p_first:
+        others = [c for c in range(1, m + 1) if c != inst.p]
+        ballots = [(inst.p,) + rest for rest in itertools.permutations(others)]
+    else:
+        ballots = all_orders(m)
+    rows = []
+    for ballot in ballots:
+        row = [0] * m
+        for position, candidate in enumerate(ballot):
+            row[candidate - 1] = vec.entries[position]
+        rows.append(row)
+    base_table = tally(inst.s_voters, vec)
+    base = [base_table[c] for c in range(1, m + 1)]
+    picks = search_ballots(list(inst.t_weights), rows, base, inst.p - 1, unique)
+    if picks is None:
+        return False, None
+    return True, tuple(ballots[i] for i in picks)

@@ -1,12 +1,12 @@
+import math
 import random
+from dataclasses import replace
 
 import pytest
 
-import votemanip.manipulation as manipulation
 from votemanip import (
     CandidateOutOfRange,
     CapExhausted,
-    ElectionError,
     InvalidInstance,
     ManipulationInstance,
     ScoringFamily,
@@ -23,16 +23,16 @@ from votemanip import (
     tally,
     winners,
 )
-from votemanip import _bruteforce_py as pure
-from helpers import random_instance, random_plurality_like, small_instance_grid
+from helpers import (
+    product_oracle,
+    random_instance,
+    random_nonincreasing,
+    random_plurality_like,
+    small_instance_grid,
+)
 
 V = WeightedVote
 SV = ScoringVector
-
-try:
-    from votemanip import _bruteforce as compiled
-except ImportError:  # pragma: no cover - build without the extension
-    compiled = None
 
 
 def inst(alpha, s, t, p=1):
@@ -174,10 +174,14 @@ class TestBruteForce:
         assert brute_force(VETO_11, node_cap=2).decision
 
     def test_cap_equal_to_space_gives_clean_no(self):
+        # p can reach 1 against 5 for both rivals: the bound cuts the root,
+        # so one terminal decides what the 2-leaf space would
         i = inst((1, 1, 0), [(5, (2, 3, 1))], (1,))
         assert not brute_force(i, node_cap=2).decision
-        with pytest.raises(CapExhausted):
-            brute_force(i, node_cap=1)
+        assert not brute_force(i, node_cap=1).decision
+        with pytest.raises(CapExhausted) as err:
+            brute_force(i, node_cap=0)
+        assert err.value.search_space == 2
 
     def test_empty_coalition_is_one_leaf(self):
         i = inst((1, 1, 0), [(1, (1, 2, 3))], ())
@@ -191,6 +195,27 @@ class TestBruteForce:
         i = inst((2, 1, 0), [], (1,), p=5)
         with pytest.raises(CandidateOutOfRange):
             brute_force(i)
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            inst((2, 1, 0), [(1, (2, 2, 2))], (1,)),  # fixed ballot not a permutation
+            inst((2, 1, 0), [(1, (2, 3, 1))], (0,)),  # coalition weight 0
+            inst((0, 1, 2), [(1, (2, 3, 1))], (1,)),  # increasing vector
+        ],
+    )
+    def test_invalid_instance_rejected(self, bad):
+        with pytest.raises(InvalidInstance):
+            brute_force(bad)
+        with pytest.raises(InvalidInstance):
+            brute_force(bad, restrict_p_first=False)
+
+    def test_deep_coalition_is_iterative(self):
+        # 3000 equal-weight voters, far past the recursion limit; the bound
+        # and the symmetry cut settle it within two terminals
+        i = inst((2, 1, 0), [(2999, (2, 3, 1))], (1,) * 3000)
+        ans = brute_force(i, unique=True, node_cap=2)
+        assert ans.decision and ans.witness == ((1, 2, 3),) + ((1, 3, 2),) * 2999
 
     def test_unique_implies_cowinner(self):
         rng = random.Random(7)
@@ -215,55 +240,49 @@ class TestBruteForce:
         assert len(answers) == 1
 
 
-class TestBackends:
-    def test_big_weights_fall_back_to_python(self):
+class TestDifferentialOracle:
+    """The pruned search against the unpruned product scan in helpers."""
+
+    def test_decisions_and_witnesses_match_product_scan(self):
+        rng = random.Random(2718)
+        big = 2**64
+        seen = {True: 0, False: 0}
+        for trial in range(1200):
+            restrict = trial % 2 == 0
+            m = rng.randint(1, 5)
+            per_voter = math.factorial(m - 1 if restrict else m)
+            n_max = max(n for n in range(1, 5) if per_voter**n <= 1500)
+            i = random_instance(
+                rng,
+                random_nonincreasing(rng, m, lo=-4, hi=4),
+                max_voters=3,
+                max_coalition=n_max,
+                max_weight=9,
+            )
+            kind = trial // 2 % 4
+            if kind == 1:  # empty coalition
+                i = replace(i, t_weights=())
+            elif kind == 2:  # equal-weight coalition
+                i = replace(i, t_weights=(i.t_weights[0],) * n_max)
+            elif kind == 3:  # weights above 2^64
+                i = replace(
+                    i,
+                    s_voters=tuple(V(v.weight * big + rng.randrange(big), v.order) for v in i.s_voters),
+                    t_weights=tuple(w * big + rng.randrange(big) for w in i.t_weights),
+                )
+            for unique in (False, True):
+                want = product_oracle(i, unique, restrict)
+                got = brute_force(i, unique, restrict_p_first=restrict)
+                assert (got.decision, got.witness) == want, (i, unique, restrict)
+                seen[want[0]] += 1
+        assert min(seen.values()) > 400
+
+    def test_big_weight_reduction_witness(self):
         w = 10**30
         i = inst((1, 1, 0), [(w, (2, 3, 1)), (w, (3, 2, 1))], (4 * w, 4 * w))
-        ans = brute_force(i)  # auto must route around the 64-bit core
+        ans = brute_force(i)
         assert ans.decision and ans.witness == ((1, 2, 3), (1, 3, 2))
-        ans = brute_force(i, backend="python")
-        assert ans.witness == ((1, 2, 3), (1, 3, 2))
-
-    def test_big_weights_rejected_by_forced_compiled(self):
-        if compiled is None:
-            pytest.skip("extension not built")
-        i = inst((1, 1, 0), [(10**30, (2, 3, 1))], (1,))
-        with pytest.raises(ElectionError):
-            brute_force(i, backend="compiled")
-
-    def test_unknown_backend(self):
-        with pytest.raises(ValueError):
-            brute_force(VETO_11, backend="rust")
-
-    def test_cores_agree_exactly(self):
-        if compiled is None:
-            pytest.skip("extension not built")
-        rng = random.Random(3)
-        for trial in range(80):
-            m = rng.randint(1, 4)
-            entries = tuple(
-                sorted((rng.randint(0, 5) for _ in range(m)), reverse=True)
-            )
-            i = random_instance(rng, SV(entries), max_voters=3, max_coalition=3, max_weight=9)
-            vec = i.alpha
-            base_table = tally(i.s_voters, vec)
-            base = [base_table[c] for c in range(1, m + 1)]
-            ballots = manipulation._pfirst_ballots(m, i.p)
-            rows = [manipulation._ballot_row(b, vec.entries) for b in ballots]
-            unique = trial % 2 == 0
-            cap = rng.choice([0, 1, 2, 10**6])
-            args = (list(i.t_weights), rows, base, i.p - 1, unique, cap)
-            assert pure.search_ballots(*args) == compiled.search_ballots(*args)
-
-    def test_public_api_backend_parity(self):
-        if compiled is None:
-            pytest.skip("extension not built")
-        rng = random.Random(23)
-        for _ in range(30):
-            i = random_instance(rng, SV((2, 1, 0)), max_voters=2, max_coalition=2, max_weight=6)
-            a = brute_force(i, backend="python")
-            b = brute_force(i, backend="compiled")
-            assert (a.decision, a.witness) == (b.decision, b.witness)
+        assert product_oracle(i) == (True, ans.witness)
 
 
 class TestSolve:
@@ -276,6 +295,12 @@ class TestSolve:
         bad = inst((1, 0), [(0, (1, 2))], (1,))
         with pytest.raises(InvalidInstance):
             solve(bad)
+
+    def test_easy_solvers_validate(self):
+        with pytest.raises(InvalidInstance):
+            solve_plurality_like(inst((1, 0), [(1, (1, 2))], (0,)))
+        with pytest.raises(InvalidInstance):
+            solve_all_equal(inst((3, 3), [(1, (1, 1))], (1,)))
 
     def test_family_instances_accepted(self):
         i = ManipulationInstance(

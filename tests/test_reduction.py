@@ -11,11 +11,13 @@ from votemanip import (
     PartitionInstance,
     ReductionArtifact,
     RoleMap,
+    ScoringFamily,
     ScoringVector,
     WeightedVote,
     build_core_voters,
     build_equalizer_voters,
     extract_witness,
+    family_vector,
     forward_witness,
     reduce_partition,
     solve_partition,
@@ -362,3 +364,26 @@ class TestVerifyReduction:
     )
     def test_battery(self, entries, ks):
         assert verify_reduction(SV(entries), PI(ks)).passed
+
+
+class TestWideReduction:
+    """Veto and 2-approval gadgets at m = 8..12, yes and no partitions."""
+
+    @pytest.mark.parametrize("m", range(8, 13))
+    @pytest.mark.parametrize(
+        "family", [ScoringFamily.veto(), ScoringFamily.k_approval(2)], ids=["veto", "2-approval"]
+    )
+    @pytest.mark.parametrize("ks", [(1, 2, 3), (2, 3, 4, 5), (1, 1, 4), (2, 2, 2, 4)])
+    def test_verify_and_round_trip(self, family, m, ks):
+        report = verify_reduction(family_vector(family, m), PI(ks))
+        assert report.passed
+        art = report.artifact
+        assert art.role_map.m == m
+        hits = exhaustive_partition(ks)
+        assert report.mp.decision == report.ump.decision == bool(hits)
+        assert (report.partition_witness is not None) == bool(hits)
+        if hits:
+            assert report.extracted in hits
+            assert report.extracted_sum == art.target
+        for subset in hits:
+            assert extract_witness(art, forward_witness(art, subset)) == subset
