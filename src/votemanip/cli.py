@@ -5,7 +5,10 @@ Instance files are line oriented UTF-8; ``#`` starts a comment.  One
 ``p`` names the candidate to promote, each ``s`` line is a fixed voter
 (weight then a full ballot), and each ``t`` line is one coalition weight.
 Witness files carry one ``t-vote <index> <ballot>`` line per coalition
-voter.  All integers are decimal and may be arbitrarily long.
+voter.  All integers are decimal and may be arbitrarily long up to the
+interpreter's integer-string limit (``sys.get_int_max_str_digits()``,
+4300 digits by default); that limit also bounds the scores ``evaluate``
+prints.
 
 Exit codes: 0 = yes/pass/success, 1 = no/fail, 2 = usage or parse error,
 3 = search budget exhausted.
@@ -14,6 +17,7 @@ Exit codes: 0 = yes/pass/success, 1 = no/fail, 2 = usage or parse error,
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from typing import Iterator
 
@@ -59,16 +63,25 @@ class ParseError(ElectionError):
 
 def _lines(text: str) -> Iterator[tuple[int, list[str]]]:
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        stripped = raw.split("#", 1)[0].strip()
-        if stripped:
-            yield lineno, stripped.split()
+        tokens = raw.split("#", 1)[0].split()
+        if tokens:
+            yield lineno, tokens
 
 
 def _int(token: str, lineno: int | None, what: str) -> int:
     try:
         return int(token)
     except ValueError:
-        raise ParseError(lineno, f"{what} must be an integer, got {token!r}") from None
+        pass
+    digits = token.lstrip("+-")
+    if len(token) - len(digits) <= 1 and digits.isdecimal():
+        # well formed, but longer than int() may convert
+        raise ParseError(
+            lineno,
+            f"{what} {token[:12]}... has {len(digits)} digits, more than this "
+            f"interpreter's limit of {sys.get_int_max_str_digits()}",
+        )
+    raise ParseError(lineno, f"{what} must be an integer, got {token!r}")
 
 
 def parse_family_name(name: str, lineno: int | None = None) -> ScoringFamily:
@@ -103,6 +116,7 @@ def parse_instance(text: str) -> ManipulationInstance:
     p_val: int | None = None
     p_line: int | None = None
     s_rows: list[tuple[int, int, Order]] = []
+    orders: dict[tuple[str, ...], Order] = {}  # ballot tokens -> parsed order
     t_rows: list[tuple[int, int]] = []
     for lineno, tokens in _lines(text):
         keyword = tokens[0]
@@ -136,7 +150,14 @@ def parse_instance(text: str) -> ManipulationInstance:
             if len(tokens) < 3:
                 raise ParseError(lineno, "s needs a weight and a full ballot")
             weight = _int(tokens[1], lineno, "voter weight")
-            order = tuple(_int(t, lineno, "ballot candidate") for t in tokens[2:])
+            ballot = tuple(tokens[2:])
+            order = orders.get(ballot)
+            if order is None:
+                try:
+                    order = tuple(map(int, ballot))
+                except ValueError:  # _int names the first bad token and raises
+                    order = tuple(_int(t, lineno, "ballot candidate") for t in ballot)
+                orders[ballot] = order
             s_rows.append((lineno, weight, order))
         elif keyword == "t":
             if len(tokens) != 2:
@@ -362,6 +383,7 @@ def _cmd_family(args: argparse.Namespace) -> int:
     return 0
 
 
+@functools.cache  # parse_args leaves the parser unchanged, so one per process serves every call
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="votemanip",

@@ -111,19 +111,22 @@ def tally(votes: Iterable[WeightedVote], alpha: ScoringVector) -> ScoreTable:
     """Exact positional scores for candidates 1..m.
 
     Each ballot adds ``weight * entries[position]`` to the candidate at
-    every position.  Raises DimensionMismatch when a ballot's length
-    differs from ``alpha.m``; ballots are otherwise assumed valid.
+    every position.  The profile is scored per distinct ballot: weights
+    are summed per order first, then each order is scored once with its
+    total weight, which is exact because scores are linear in weight.
+    Raises DimensionMismatch when a ballot's length differs from
+    ``alpha.m``; ballots are otherwise assumed valid.
     """
     m = alpha.m
     entries = alpha.entries
-    scores: ScoreTable = dict.fromkeys(range(1, m + 1), 0)
+    totals: dict[Order, int] = {}
     for vote in votes:
-        if len(vote.order) != m:
-            raise DimensionMismatch(
-                f"ballot has {len(vote.order)} positions, scoring vector has {m}"
-            )
-        w = vote.weight
-        for position, candidate in enumerate(vote.order):
+        totals[vote.order] = totals.get(vote.order, 0) + vote.weight
+    scores: ScoreTable = dict.fromkeys(range(1, m + 1), 0)
+    for order, w in totals.items():
+        if len(order) != m:
+            raise DimensionMismatch(f"ballot has {len(order)} positions, scoring vector has {m}")
+        for position, candidate in enumerate(order):
             scores[candidate] += w * entries[position]
     return scores
 
@@ -157,9 +160,10 @@ def validate_instance(inst: ManipulationInstance) -> list[ValidationIssue]:
     """Every structural violation in the instance, in component order.
 
     Checks the scoring vector's shape, each fixed ballot, every weight,
-    and the preferred candidate's range.  An empty list means the
-    instance is valid.  Family-based instances must be resolved to a
-    concrete vector first.
+    and the preferred candidate's range.  Each distinct ballot is checked
+    for being a permutation once; every voter holding an invalid ballot
+    still gets its own issue.  An empty list means the instance is valid.
+    Family-based instances must be resolved to a concrete vector first.
     """
     alpha = inst.alpha
     if not isinstance(alpha, ScoringVector):
@@ -182,12 +186,21 @@ def validate_instance(inst: ManipulationInstance) -> list[ValidationIssue]:
                 "CandidateOutOfRange", "p", f"preferred candidate {inst.p} outside 1..{m}"
             )
         )
+    permutations: set[Order] = set()  # orders already found to be permutations of 1..m
     for i, vote in enumerate(inst.s_voters, start=1):
         if vote.weight < 1:
             issues.append(
                 ValidationIssue("NonPositiveWeight", f"s[{i}]", f"weight {vote.weight} is below 1")
             )
-        if not is_permutation(vote.order, m):
+        try:
+            valid = vote.order in permutations
+        except TypeError:  # unhashable items: checked every time, never remembered
+            valid = is_permutation(vote.order, m)
+        else:
+            if not valid and is_permutation(vote.order, m):
+                permutations.add(vote.order)
+                valid = True
+        if not valid:
             issues.append(
                 ValidationIssue(
                     "NonPermutationOrder",

@@ -46,15 +46,16 @@ class CapExhausted(ElectionError):
     Terminals are the evaluated leaves plus the cut branches of the
     search tree.  ``search_space`` is the number of leaves an unpruned
     search would visit: distinct score rows to the power of the
-    coalition size.
+    coalition size.  The message writes it as ``rows^voters``, which
+    stays printable however many digits the power has.
     """
 
-    def __init__(self, node_cap: int, search_space: int):
+    def __init__(self, node_cap: int, rows: int, voters: int):
         self.node_cap = node_cap
-        self.search_space = search_space
+        self.search_space = rows**voters
         super().__init__(
             f"search needs more than {node_cap} terminals, counting leaf evaluations "
-            f"and cut branches (search space has {search_space} leaves)"
+            f"and cut branches (search space has {rows}^{voters} leaves)"
         )
 
 
@@ -256,7 +257,7 @@ def _search(weights, rows, base, p, top, unique, node_cap):
             pick = picks[level - 1] if same else 0
         else:
             if terminals >= node_cap:
-                raise CapExhausted(node_cap, nrows**n)
+                raise CapExhausted(node_cap, nrows, n)
             terminals += 1
             if not dead:
                 return picks

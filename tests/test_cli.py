@@ -1,4 +1,5 @@
 import io
+import sys
 from pathlib import Path
 
 import pytest
@@ -96,6 +97,8 @@ class TestParseInstance:
             ("family veto\np 1\n", 1, "name and a candidate count"),
             ("family k-approval:3 2\np 1\n", 1, "3-approval needs at least 3"),
             ("family nanson 3\np 1\n", 1, "unknown family"),
+            # the same bad ballot text twice: the first line is reported
+            ("alpha 1 0\np 1\ns 1 1 2\ns 1 2 x\ns 1 2 x\n", 4, "integer, got 'x'"),
         ],
     )
     def test_syntax_errors(self, text, line, fragment):
@@ -110,6 +113,7 @@ class TestParseInstance:
             ("alpha 0 1\np 1\n", 1, "NonMonotoneAlpha"),
             ("alpha 1 0\np 3\n", 2, "CandidateOutOfRange"),
             ("alpha 1 0\np 1\ns 1 1 1\n", 3, "NonPermutationOrder"),
+            ("alpha 1 0\np 1\ns 1 2 1\ns 1 1 1\ns 1 1 1\n", 4, "NonPermutationOrder"),
             ("alpha 1 0\np 1\ns 0 1 2\n", 3, "NonPositiveWeight"),
             ("alpha 1 0\np 1\nt 0\n", 3, "NonPositiveWeight"),
             # several problems: the earliest line is the one reported
@@ -121,6 +125,12 @@ class TestParseInstance:
             parse_instance(text)
         assert err.value.line == line
         assert code in str(err.value)
+
+    def test_repeated_ballots_share_one_order(self):
+        inst = parse_instance("alpha 1 0\np 1\ns 1 2 1\ns 5 1 2\ns 7 2 1\n")
+        V = WeightedVote
+        assert inst.s_voters == (V(1, (2, 1)), V(5, (1, 2)), V(7, (2, 1)))
+        assert inst.s_voters[0].order is inst.s_voters[2].order
 
 
 class TestSerializeInstance:
@@ -293,6 +303,15 @@ class TestEvaluateCommand:
     def test_missing_file(self, capsys):
         assert run_command(["evaluate", "/nonexistent/instance.txt"]) == 2
 
+    def test_integer_past_interpreter_limit(self, tmp_path, capsys):
+        limit = sys.get_int_max_str_digits()
+        f = tmp_path / "i.txt"
+        f.write_text(f"alpha 1 0\np 1\ns {'7' * (limit + 700)} 1 2\n")
+        assert run_command(["evaluate", str(f)]) == 2
+        err = capsys.readouterr().err
+        assert f"line 3: voter weight 777777777777... has {limit + 700} digits" in err
+        assert len(err) < 200
+
 
 class TestManipulateCommand:
     def test_yes_prints_witness(self, tmp_path, capsys):
@@ -327,6 +346,13 @@ class TestManipulateCommand:
         assert "leaf evaluations" in capsys.readouterr().err
         assert run_command(["manipulate", str(f), "--cap", "2"]) == 0
         capsys.readouterr()
+
+    def test_cap_exhausted_on_space_too_long_to_print(self, tmp_path, capsys):
+        # 6 rows ^ 6000 voters has 4669 digits, past int-to-str's default limit
+        f = tmp_path / "i.txt"
+        f.write_text("alpha 3 2 1 0\np 1\ns 1000000000 2 3 4 1\n" + "t 1\n" * 6000)
+        assert run_command(["manipulate", str(f), "--cap", "0"]) == 3
+        assert "search space has 6^6000 leaves" in capsys.readouterr().err
 
     def test_parse_error_exit_code(self, tmp_path, capsys):
         f = tmp_path / "bad.txt"
@@ -439,3 +465,20 @@ class TestDispatcher:
     def test_missing_required_argument(self, capsys):
         assert run_command(["reduce", "--alpha", "1 1 0"]) == 2
         capsys.readouterr()
+
+    def test_repeated_calls_share_no_state(self, tmp_path, capsys):
+        # the parser is built once per process: flags must not leak between calls
+        f = tmp_path / "i.txt"
+        f.write_text("alpha 2 1 0\np 1\ns 2 2 1 3\nt 1\n")  # p can tie 2, not beat it
+        assert run_command(["manipulate", str(f), "--unique"]) == 1
+        assert capsys.readouterr().out == "no\n"
+        assert run_command(["manipulate", str(f)]) == 0
+        assert capsys.readouterr().out == "yes\nt-vote 1 1 3 2\n"
+        assert run_command(["manipulate", str(f), "--cap"]) == 2
+        capsys.readouterr()
+        assert run_command(["manipulate", str(f), "--cap", "0"]) == 3
+        capsys.readouterr()
+        assert run_command(["manipulate", str(f), "--unique"]) == 1
+        assert capsys.readouterr().out == "no\n"
+        assert run_command(["evaluate", str(f), "--witness", str(f)]) == 2
+        assert "unknown directive 'alpha'" in capsys.readouterr().err

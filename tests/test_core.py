@@ -74,6 +74,10 @@ class TestTally:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
             tally((V(1, (1, 2)),), ScoringVector((1, 0, 0)))
+        # a short ballot after repeated valid ones is still caught
+        votes = (V(1, (1, 2, 3)), V(2, (1, 2, 3)), V(3, (3, 2, 1)), V(4, (1, 2)))
+        with pytest.raises(DimensionMismatch, match="ballot has 2 positions, scoring vector has 3"):
+            tally(votes, ScoringVector((1, 0, 0)))
 
     def test_huge_weights_exact(self):
         w = 10**30
@@ -91,6 +95,12 @@ class TestTally:
         votes = tuple(
             V(rng.randint(1, 10**12), random_order(rng, m))
             for _ in range(rng.randint(0, 5))
+        )
+        assert tally(votes, alpha) == naive_tally(votes, alpha)
+        # repeated ballots: orders drawn from a pool of at most three
+        pool = [random_order(rng, m) for _ in range(rng.randint(1, 3))]
+        votes = tuple(
+            V(rng.randint(1, 2**80), rng.choice(pool)) for _ in range(rng.randint(0, 40))
         )
         assert tally(votes, alpha) == naive_tally(votes, alpha)
 
@@ -149,6 +159,31 @@ class TestValidation:
         (issue,) = validate_instance(inst)
         assert issue.code == "NonPermutationOrder"
         assert issue.where == "s[1]"
+
+    def test_repeated_invalid_ballot_reported_per_voter(self):
+        inst = ManipulationInstance(
+            ScoringVector((1, 0, 0)),
+            (V(1, (1, 1, 2)), V(1, (1, 2, 3)), V(1, (1, 1, 2)), V(0, (1, 1, 2)), V(1, (1, 2, 3))),
+            (),
+            1,
+        )
+        issues = validate_instance(inst)
+        assert [(i.code, i.where) for i in issues] == [
+            ("NonPermutationOrder", "s[1]"),
+            ("NonPermutationOrder", "s[3]"),
+            ("NonPositiveWeight", "s[4]"),
+            ("NonPermutationOrder", "s[4]"),
+        ]
+
+    def test_unhashable_ballot_is_nonpermutation(self):
+        inst = ManipulationInstance(
+            ScoringVector((1, 0)), (V(1, (1, 2)), V(1, ([1], [2])), V(1, ([1], [2]))), (), 1
+        )
+        issues = validate_instance(inst)
+        assert [(i.code, i.where) for i in issues] == [
+            ("NonPermutationOrder", "s[2]"),
+            ("NonPermutationOrder", "s[3]"),
+        ]
 
     def test_short_ballot_is_nonpermutation(self):
         inst = ManipulationInstance(ScoringVector((1, 0, 0)), (V(1, (1, 2)),), (), 1)

@@ -183,6 +183,14 @@ class TestBruteForce:
             brute_force(i, node_cap=0)
         assert err.value.search_space == 2
 
+    def test_cap_exhausted_on_space_too_long_to_print(self):
+        # 6 rows ^ 6000 voters has 4669 digits, past int-to-str's default limit
+        i = inst((3, 2, 1, 0), [(10**9, (2, 3, 4, 1))], (1,) * 6000)
+        with pytest.raises(CapExhausted) as err:
+            brute_force(i, node_cap=0)
+        assert err.value.search_space == 6**6000
+        assert "search space has 6^6000 leaves" in str(err.value)
+
     def test_empty_coalition_is_one_leaf(self):
         i = inst((1, 1, 0), [(1, (1, 2, 3))], ())
         ans = brute_force(i, node_cap=1)
