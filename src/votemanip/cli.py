@@ -42,7 +42,7 @@ from .dichotomy import (
     classify_family,
     family_vector,
 )
-from .manipulation import DEFAULT_NODE_CAP, CapExhausted, instance_vector, solve
+from .manipulation import DEFAULT_NODE_CAP, CapExhausted, solve
 from .reduction import (
     NotAWinner,
     PartitionInstance,
@@ -300,7 +300,8 @@ def _cmd_classify(args: argparse.Namespace) -> int:
 
 def _cmd_evaluate(args: argparse.Namespace) -> int:
     inst = parse_instance(_read(args.instance))
-    vec = instance_vector(inst)
+    vec = inst.alpha  # parse_instance resolves families to vectors
+    orders: tuple[Order, ...] = ()
     if inst.t_weights:
         if not args.witness:
             print(
@@ -309,12 +310,7 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
             )
             return 2
         orders = parse_witness(_read(args.witness), len(inst.t_weights), vec.m)
-        votes = inst.s_voters + tuple(
-            WeightedVote(w, o) for w, o in zip(inst.t_weights, orders)
-        )
-    else:
-        votes = inst.s_voters
-    table = tally(votes, vec)
+    table = tally(inst.profile(orders), vec)
     for c in range(1, vec.m + 1):
         print(f"score {c} {table[c]}")
     print("winners " + " ".join(map(str, sorted(winners(table)))))

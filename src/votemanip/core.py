@@ -33,7 +33,7 @@ class NonPermutationOrder(ElectionError):
 
 
 class NonPositiveWeight(ElectionError):
-    """A voter or coalition weight is below 1."""
+    """A voter or coalition weight is not an integer >= 1."""
 
 
 class CandidateOutOfRange(ElectionError):
@@ -41,7 +41,7 @@ class CandidateOutOfRange(ElectionError):
 
 
 class NonMonotoneAlpha(ElectionError):
-    """Scoring-vector entries are empty or increase somewhere."""
+    """Scoring-vector entries are empty, not integers, or increase somewhere."""
 
 
 class InvalidInstance(ElectionError):
@@ -100,6 +100,13 @@ class ManipulationInstance:
     def __post_init__(self) -> None:
         object.__setattr__(self, "s_voters", tuple(self.s_voters))
         object.__setattr__(self, "t_weights", tuple(self.t_weights))
+
+    def profile(self, orders: Iterable[Order]) -> tuple[WeightedVote, ...]:
+        """The fixed voters, then one vote per coalition weight cast with ``orders``."""
+        orders = tuple(orders)
+        if len(orders) != len(self.t_weights):
+            raise ElectionError(f"need {len(self.t_weights)} coalition ballots, got {len(orders)}")
+        return self.s_voters + tuple(WeightedVote(w, o) for w, o in zip(self.t_weights, orders))
 
 
 def is_permutation(order: Sequence[int], m: int) -> bool:
@@ -160,7 +167,8 @@ def validate_instance(inst: ManipulationInstance) -> list[ValidationIssue]:
     """Every structural violation in the instance, in component order.
 
     Checks the scoring vector's shape, each fixed ballot, every weight,
-    and the preferred candidate's range.  Each distinct ballot is checked
+    and the preferred candidate's range; the vector's entries, the weights
+    and ``p`` must all be ``int``.  Each distinct ballot is checked
     for being a permutation once; every voter holding an invalid ballot
     still gets its own issue.  An empty list means the instance is valid.
     Family-based instances must be resolved to a concrete vector first.
@@ -171,6 +179,12 @@ def validate_instance(inst: ManipulationInstance) -> list[ValidationIssue]:
     issues: list[ValidationIssue] = []
     if alpha.m == 0:
         issues.append(ValidationIssue("NonMonotoneAlpha", "alpha", "scoring vector is empty"))
+    elif not all(isinstance(e, int) for e in alpha.entries):
+        issues.append(
+            ValidationIssue(
+                "NonMonotoneAlpha", "alpha", f"entries must be integers, got {alpha.entries}"
+            )
+        )
     elif not alpha.is_nonincreasing():
         issues.append(
             ValidationIssue(
@@ -180,18 +194,16 @@ def validate_instance(inst: ManipulationInstance) -> list[ValidationIssue]:
             )
         )
     m = alpha.m
-    if not 1 <= inst.p <= m:
+    if not isinstance(inst.p, int) or not 1 <= inst.p <= m:
         issues.append(
             ValidationIssue(
-                "CandidateOutOfRange", "p", f"preferred candidate {inst.p} outside 1..{m}"
+                "CandidateOutOfRange", "p", f"preferred candidate {inst.p!r} outside 1..{m}"
             )
         )
     permutations: set[Order] = set()  # orders already found to be permutations of 1..m
     for i, vote in enumerate(inst.s_voters, start=1):
-        if vote.weight < 1:
-            issues.append(
-                ValidationIssue("NonPositiveWeight", f"s[{i}]", f"weight {vote.weight} is below 1")
-            )
+        if not _is_weight(vote.weight):
+            issues.append(_weight_issue(f"s[{i}]", vote.weight))
         try:
             valid = vote.order in permutations
         except TypeError:  # unhashable items: checked every time, never remembered
@@ -209,11 +221,17 @@ def validate_instance(inst: ManipulationInstance) -> list[ValidationIssue]:
                 )
             )
     for i, w in enumerate(inst.t_weights, start=1):
-        if w < 1:
-            issues.append(
-                ValidationIssue("NonPositiveWeight", f"t[{i}]", f"weight {w} is below 1")
-            )
+        if not _is_weight(w):
+            issues.append(_weight_issue(f"t[{i}]", w))
     return issues
+
+
+def _is_weight(w: object) -> bool:
+    return isinstance(w, int) and w >= 1
+
+
+def _weight_issue(where: str, w: object) -> ValidationIssue:
+    return ValidationIssue("NonPositiveWeight", where, f"weight {w!r} must be an integer >= 1")
 
 
 def require_valid(inst: ManipulationInstance) -> None:

@@ -1,11 +1,13 @@
-"""Coalition-manipulation solvers and the class-based dispatcher.
+"""Coalition-manipulation solvers: one exact search for every scoring vector.
 
-All-equal and plurality-like vectors admit direct polynomial solvers; hard
-vectors go through an exact, deterministic depth-first search over the
-distinct score rows a coalition voter can cast, with a budget on search
-terminals.  Every public solver validates its instance first.  Every
-"yes" answer carries a witness (one ballot per coalition voter) and is
-re-evaluated before being returned.
+Every answer comes from an exact, deterministic depth-first search over
+the distinct score rows a coalition voter can cast, with a budget on
+search terminals.  All-equal and plurality-like vectors give a single
+p-first score row, so on them the search walks one path of coalition
+voters, which is the polynomial side of the dichotomy; hard vectors give
+several rows and the search prunes.  Every public solver validates its
+instance first.  Every "yes" answer carries a witness (one ballot per
+coalition voter) and is re-evaluated before being returned.
 """
 
 from __future__ import annotations
@@ -21,7 +23,6 @@ from .core import (
     ManipulationInstance,
     Order,
     ScoringVector,
-    WeightedVote,
     require_valid,
     tally,
     unique_winner,
@@ -31,9 +32,12 @@ from .dichotomy import RuleClass, classify, family_vector, normalize_last_zero
 
 DEFAULT_NODE_CAP = 10**7
 
-MODE_ALL_EQUAL = "all-equal"
-MODE_PLURALITY_LIKE = "plurality-like"
-MODE_BRUTE_FORCE = "brute-force"
+# An answer's mode names its vector's class; hard vectors are "brute-force".
+MODES = {
+    RuleClass.ALL_EQUAL: "all-equal",
+    RuleClass.PLURALITY_LIKE: "plurality-like",
+    RuleClass.HARD: "brute-force",
+}
 
 
 class WrongClass(ElectionError):
@@ -93,8 +97,8 @@ def _validated(inst: ManipulationInstance) -> tuple[ManipulationInstance, Scorin
     vec = instance_vector(inst)
     if inst.alpha is not vec:
         inst = replace(inst, alpha=vec)
-    if not 1 <= inst.p <= vec.m:
-        raise CandidateOutOfRange(f"preferred candidate {inst.p} outside 1..{vec.m}")
+    if not isinstance(inst.p, int) or not 1 <= inst.p <= vec.m:
+        raise CandidateOutOfRange(f"preferred candidate {inst.p!r} outside 1..{vec.m}")
     require_valid(inst)
     return inst, vec
 
@@ -106,68 +110,6 @@ def normalize_p_first(orders: Iterable[Order], p: int) -> tuple[Order, ...]:
     raises anyone else's, so profiles where p wins stay winning.
     """
     return tuple((p,) + tuple(c for c in order if c != p) for order in orders)
-
-
-def _canonical_ballot(m: int, p: int) -> Order:
-    return (p,) + tuple(c for c in range(1, m + 1) if c != p)
-
-
-def _coalition_votes(inst: ManipulationInstance, orders: Iterable[Order]) -> tuple[WeightedVote, ...]:
-    orders = tuple(orders)
-    if len(orders) != len(inst.t_weights):
-        raise ElectionError(
-            f"need {len(inst.t_weights)} coalition ballots, got {len(orders)}"
-        )
-    return tuple(WeightedVote(w, o) for w, o in zip(inst.t_weights, orders))
-
-
-def _confirmed_yes(
-    inst: ManipulationInstance,
-    vec: ScoringVector,
-    witness: tuple[Order, ...],
-    unique: bool,
-    mode: str,
-) -> ManipulationAnswer:
-    # Soundness check on every yes: the witness must actually make p win.
-    table = tally(inst.s_voters + _coalition_votes(inst, witness), vec)
-    won = unique_winner(table) == inst.p if unique else inst.p in winners(table)
-    if not won:
-        raise ElectionError("internal error: witness failed re-evaluation")
-    return ManipulationAnswer(True, witness, mode)
-
-
-def solve_all_equal(inst: ManipulationInstance, unique: bool = False) -> ManipulationAnswer:
-    """Decide manipulation when every ballot position scores the same.
-
-    Scores cannot depend on how anyone votes: all candidates always tie.
-    Making p *a* winner is therefore trivially possible, and making p the
-    *unique* winner is possible only in a one-candidate election.
-    """
-    inst, vec = _validated(inst)
-    if classify(vec).tag is not RuleClass.ALL_EQUAL:
-        raise WrongClass("solver requires an all-equal scoring vector")
-    if unique and vec.m > 1:
-        return ManipulationAnswer(False, None, MODE_ALL_EQUAL)
-    witness = tuple(_canonical_ballot(vec.m, inst.p) for _ in inst.t_weights)
-    return _confirmed_yes(inst, vec, witness, unique, MODE_ALL_EQUAL)
-
-
-def solve_plurality_like(inst: ManipulationInstance, unique: bool = False) -> ManipulationAnswer:
-    """Decide manipulation for a top-weighted vector with a flat tail.
-
-    Every coalition ballot ranking p first is optimal, because positions
-    below the top are interchangeable.  So p can be made a (unique)
-    winner exactly when the all-p-first profile does it.
-    """
-    inst, vec = _validated(inst)
-    if classify(vec).tag is not RuleClass.PLURALITY_LIKE:
-        raise WrongClass("solver requires a plurality-like scoring vector")
-    witness = tuple(_canonical_ballot(vec.m, inst.p) for _ in inst.t_weights)
-    table = tally(inst.s_voters + _coalition_votes(inst, witness), vec)
-    won = unique_winner(table) == inst.p if unique else inst.p in winners(table)
-    if not won:
-        return ManipulationAnswer(False, None, MODE_PLURALITY_LIKE)
-    return ManipulationAnswer(True, witness, MODE_PLURALITY_LIKE)
 
 
 def _row_ballots(entries: tuple[int, ...], m: int, p: int | None) -> list[Order]:
@@ -293,9 +235,11 @@ def brute_force(
 
     ``node_cap`` budgets search-tree terminals: evaluated leaves plus cut
     branches.  Raises CapExhausted once answering would need more; any
-    decision reached within the budget is exact.
+    decision reached within the budget is exact.  The answer's ``mode``
+    names the vector's class (see :data:`MODES`).
     """
     inst, vec = _validated(inst)
+    mode = MODES[classify(vec).tag]
     shifted = normalize_last_zero(vec)
     base_table = tally(inst.s_voters, shifted)
     base = [base_table[c] for c in range(1, vec.m + 1)]
@@ -305,9 +249,14 @@ def brute_force(
         list(inst.t_weights), rows, base, inst.p - 1, shifted.entries[0], unique, node_cap
     )
     if picks is None:
-        return ManipulationAnswer(False, None, MODE_BRUTE_FORCE)
+        return ManipulationAnswer(False, None, mode)
     witness = tuple(ballots[i] for i in picks)
-    return _confirmed_yes(inst, vec, witness, unique, MODE_BRUTE_FORCE)
+    # Soundness check on every yes: the witness must actually make p win.
+    table = tally(inst.profile(witness), vec)
+    won = unique_winner(table) == inst.p if unique else inst.p in winners(table)
+    if not won:
+        raise ElectionError("internal error: witness failed re-evaluation")
+    return ManipulationAnswer(True, witness, mode)
 
 
 def solve(
@@ -315,15 +264,38 @@ def solve(
     unique: bool = False,
     node_cap: int = DEFAULT_NODE_CAP,
 ) -> ManipulationAnswer:
-    """Classify and route to the matching solver, which validates the instance.
+    """Decide manipulation for any vector with :func:`brute_force`, which validates first.
 
-    All-equal and plurality-like instances are answered in polynomial
-    time; hard instances fall through to :func:`brute_force` with the
-    given ``node_cap``.
+    There is one search for every class.  All-equal and plurality-like
+    vectors give a single p-first score row, so the search walks one path
+    of coalition voters in polynomial time.  ``node_cap`` budgets the
+    search on every class, so a cap of 0 raises CapExhausted on easy
+    vectors too.  The answer's ``mode`` names the vector's class.
     """
-    tag = classify(instance_vector(inst)).tag
-    if tag is RuleClass.ALL_EQUAL:
-        return solve_all_equal(inst, unique)
-    if tag is RuleClass.PLURALITY_LIKE:
-        return solve_plurality_like(inst, unique)
     return brute_force(inst, unique, node_cap)
+
+
+def solve_all_equal(inst: ManipulationInstance, unique: bool = False) -> ManipulationAnswer:
+    """Decide manipulation for a vector whose entries are all equal.
+
+    Scores cannot depend on how anyone votes, so all candidates always
+    tie: p is always *a* winner, and the *unique* winner only in a
+    one-candidate election.  The vector has one score row, which the
+    search walks as a single path.  Raises WrongClass on other vectors.
+    """
+    if classify(instance_vector(inst)).tag is not RuleClass.ALL_EQUAL:
+        raise WrongClass("solver requires an all-equal scoring vector")
+    return brute_force(inst, unique)
+
+
+def solve_plurality_like(inst: ManipulationInstance, unique: bool = False) -> ManipulationAnswer:
+    """Decide manipulation for a top-weighted vector with a flat tail.
+
+    Positions below the top are interchangeable, so every p-first ballot
+    casts the same score row and p wins exactly when the all-p-first
+    profile makes it win.  The search walks that one row as a single
+    path.  Raises WrongClass on other vectors.
+    """
+    if classify(instance_vector(inst)).tag is not RuleClass.PLURALITY_LIKE:
+        raise WrongClass("solver requires a plurality-like scoring vector")
+    return brute_force(inst, unique)

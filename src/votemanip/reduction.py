@@ -317,14 +317,7 @@ def extract_witness(art: ReductionArtifact, t_votes: Iterable[Order]) -> set[int
     """
     inst = art.instance
     t_votes = tuple(t_votes)
-    if len(t_votes) != len(inst.t_weights):
-        raise ElectionError(
-            f"need {len(inst.t_weights)} coalition ballots, got {len(t_votes)}"
-        )
-    votes = inst.s_voters + tuple(
-        WeightedVote(w, o) for w, o in zip(inst.t_weights, t_votes)
-    )
-    table = tally(votes, inst.alpha)
+    table = tally(inst.profile(t_votes), inst.alpha)
     if inst.p not in winners(table):
         raise NotAWinner(f"candidate {inst.p} does not win under the supplied ballots")
     rm = art.role_map
@@ -404,10 +397,7 @@ def verify_reduction(
 
     forward_unique: bool | None = None
     if subset is not None:
-        ballots = forward_witness(art, subset)
-        votes = art.instance.s_voters + tuple(
-            WeightedVote(w, o) for w, o in zip(art.instance.t_weights, ballots)
-        )
+        votes = art.instance.profile(forward_witness(art, subset))
         forward_unique = unique_winner(tally(votes, art.instance.alpha)) == art.instance.p
 
     extracted: frozenset[int] | None = None
@@ -417,9 +407,7 @@ def verify_reduction(
         assert mp.witness is not None
         extracted = frozenset(extract_witness(art, mp.witness))
         extracted_sum = sum(part.ks[i - 1] for i in extracted)
-        witness_votes = art.instance.s_voters + tuple(
-            WeightedVote(w, o) for w, o in zip(art.instance.t_weights, mp.witness)
-        )
+        witness_votes = art.instance.profile(mp.witness)
         from_tie = unique_winner(tally(witness_votes, art.instance.alpha)) != art.instance.p
 
     agree = (subset is not None) == mp.decision == ump.decision

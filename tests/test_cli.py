@@ -347,6 +347,14 @@ class TestManipulateCommand:
         assert run_command(["manipulate", str(f), "--cap", "2"]) == 0
         capsys.readouterr()
 
+    def test_cap_applies_to_easy_classes(self, capsys):
+        # plurality-like instances take the same budget as every other class
+        f = str(DATA / "plurality_race.txt")
+        assert run_command(["manipulate", f, "--cap", "0"]) == 3
+        assert "leaf evaluations" in capsys.readouterr().err
+        assert run_command(["manipulate", f, "--cap", "1"]) == 0
+        assert capsys.readouterr().out == "yes\nt-vote 1 1 2\nt-vote 2 1 2\n"
+
     def test_cap_exhausted_on_space_too_long_to_print(self, tmp_path, capsys):
         # 6 rows ^ 6000 voters has 4669 digits, past int-to-str's default limit
         f = tmp_path / "i.txt"

@@ -191,7 +191,7 @@ class TestValidation:
         assert codes == ["NonPermutationOrder"]
 
     def test_p_out_of_range(self):
-        for p in (0, 4, -1):
+        for p in (0, 4, -1, 1.5, 2.0):
             inst = ManipulationInstance(ScoringVector((1, 0, 0)), (), (1,), p)
             (issue,) = validate_instance(inst)
             assert issue.code == "CandidateOutOfRange"
@@ -205,11 +205,25 @@ class TestValidation:
         assert [i.where for i in issues] == ["s[1]", "t[2]", "t[3]"]
         assert {i.code for i in issues} == {"NonPositiveWeight"}
 
+    def test_non_integer_weights(self):
+        # float weights would otherwise tally to float scores and wrong answers
+        inst = ManipulationInstance(
+            ScoringVector((1, 0)), (V(1.1, (2, 1)), V(2, (2, 1))), (3.3, 2.0), 1
+        )
+        issues = validate_instance(inst)
+        assert [(i.code, i.where) for i in issues] == [
+            ("NonPositiveWeight", "s[1]"),
+            ("NonPositiveWeight", "t[1]"),
+            ("NonPositiveWeight", "t[2]"),
+        ]
+        assert all("must be an integer >= 1" in i.message for i in issues)
+
     def test_increasing_alpha(self):
-        inst = ManipulationInstance(ScoringVector((1, 2)), (), (1,), 1)
-        (issue,) = validate_instance(inst)
-        assert issue.code == "NonMonotoneAlpha"
-        assert issue.where == "alpha"
+        for entries in ((1, 2), (1.5, 0)):  # a float entry is rejected too
+            inst = ManipulationInstance(ScoringVector(entries), (), (1,), 1)
+            (issue,) = validate_instance(inst)
+            assert issue.code == "NonMonotoneAlpha"
+            assert issue.where == "alpha"
 
     def test_empty_alpha(self):
         inst = ManipulationInstance(ScoringVector(()), (), (1,), 1)

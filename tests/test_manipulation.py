@@ -1,6 +1,7 @@
 import math
 import random
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -9,12 +10,14 @@ from votemanip import (
     CapExhausted,
     InvalidInstance,
     ManipulationInstance,
+    RuleClass,
     ScoringFamily,
     ScoringVector,
     UnsupportedM,
     WeightedVote,
     WrongClass,
     brute_force,
+    classify,
     instance_vector,
     normalize_p_first,
     solve,
@@ -23,6 +26,8 @@ from votemanip import (
     tally,
     winners,
 )
+from votemanip.cli import parse_instance
+from votemanip.manipulation import _row_ballots
 from helpers import (
     product_oracle,
     random_instance,
@@ -33,6 +38,7 @@ from helpers import (
 
 V = WeightedVote
 SV = ScoringVector
+DATA = Path(__file__).parent / "data"
 
 
 def inst(alpha, s, t, p=1):
@@ -112,6 +118,9 @@ class TestAllEqual:
     def test_wrong_class(self):
         with pytest.raises(WrongClass):
             solve_all_equal(inst((1, 0), [], (1,)))
+        # the class is checked before the instance is validated
+        with pytest.raises(WrongClass):
+            solve_all_equal(inst((1, 0), [(0, (1, 2))], (1,)))
 
 
 class TestPluralityLike:
@@ -144,6 +153,45 @@ class TestPluralityLike:
             solve_plurality_like(inst((1, 1, 0), [], (1,)))
         with pytest.raises(WrongClass):
             solve_plurality_like(inst((2, 2), [], (1,)))
+
+
+class TestEasyPath:
+    """Easy vectors give one p-first score row, so the search walks one path."""
+
+    def test_one_row_exactly_when_easy(self):
+        rng = random.Random(5)
+        seen = {True: 0, False: 0}
+        for trial in range(200):
+            m = rng.randint(1, 8)
+            entries = random_nonincreasing(rng, m, lo=-3, hi=3).entries
+            if trial % 2:  # flatten the tail: all-equal or plurality-like
+                entries = entries[:1] + entries[-1:] * (m - 1)
+            easy = classify(SV(entries)).tag is not RuleClass.HARD
+            for p in range(1, m + 1):
+                assert (len(_row_ballots(entries, m, p)) == 1) == easy, (entries, p)
+            seen[easy] += 1
+        assert min(seen.values()) > 60
+
+    def test_large_coalition_is_one_terminal(self):
+        # 3000 unit-weight coalition voters lift p to 6000 against 2 * fixed
+        # for each rival; the single path is decided within one terminal
+        for fixed, won in ((2999, True), (3000, False)):
+            i = inst((2, 0, 0), [(fixed, (2, 3, 1)), (fixed, (3, 2, 1))], (1,) * 3000)
+            ans = solve(i, unique=True, node_cap=1)
+            assert (ans.decision, ans.mode) == (won, "plurality-like")
+            assert ans.witness == (((1, 2, 3),) * 3000 if won else None)
+
+    def test_cap_applies_to_easy_classes(self):
+        for name in ("plurality_race.txt", "all_equal_m3.txt"):
+            i = parse_instance((DATA / name).read_text())
+            with pytest.raises(CapExhausted):
+                solve(i, node_cap=0)
+            assert solve(i, node_cap=1).decision
+
+    def test_brute_force_reports_class_as_mode(self):
+        assert brute_force(inst((3, 3), [], (1,))).mode == "all-equal"
+        assert brute_force(inst((1, 0), [], (1,))).mode == "plurality-like"
+        assert brute_force(inst((1, 0), [], (1,)), restrict_p_first=False).mode == "plurality-like"
 
 
 class TestBruteForce:
@@ -303,6 +351,9 @@ class TestSolve:
         bad = inst((1, 0), [(0, (1, 2))], (1,))
         with pytest.raises(InvalidInstance):
             solve(bad)
+        # float weights would tally to float scores and answer "no" here
+        with pytest.raises(InvalidInstance):
+            solve(inst((1, 0), [(1.1, (2, 1)), (2.2, (2, 1))], (3.3,)))
 
     def test_easy_solvers_validate(self):
         with pytest.raises(InvalidInstance):
@@ -321,14 +372,18 @@ class TestSolve:
         assert ans.decision and ans.witness == ((1, 2, 3), (1, 3, 2))
 
     def test_matches_specialized_solvers_on_easy_classes(self):
+        # the class solvers against the unpruned product scan
         rng = random.Random(41)
-        for _ in range(200):
-            alpha = random_plurality_like(rng)
+        for trial in range(300):
+            if trial % 2:
+                alpha, solver = random_plurality_like(rng), solve_plurality_like
+            else:
+                m, k = rng.randint(1, 4), rng.randint(-3, 5)
+                alpha, solver = SV((k,) * m), solve_all_equal
             i = random_instance(rng, alpha, max_voters=3, max_coalition=3, max_weight=20)
             for unique in (False, True):
-                fast = solve_plurality_like(i, unique)
-                slow = brute_force(i, unique)
-                assert fast.decision == slow.decision, i
+                got = solver(i, unique)
+                assert (got.decision, got.witness) == product_oracle(i, unique), (i, unique)
 
     def test_grid_against_unrestricted_search(self):
         # small exhaustive grid, every class, both decision problems
