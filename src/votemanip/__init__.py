@@ -45,8 +45,6 @@ from .manipulation import (
     ManipulationAnswer,
     WrongClass,
     brute_force,
-    instance_vector,
-    normalize_p_first,
     solve,
     solve_all_equal,
     solve_plurality_like,

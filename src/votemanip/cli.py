@@ -24,6 +24,7 @@ from typing import Iterator
 from .core import (
     ElectionError,
     ManipulationInstance,
+    NonMonotoneAlpha,
     Order,
     ScoringVector,
     WeightedVote,
@@ -84,6 +85,14 @@ def _int(token: str, lineno: int | None, what: str) -> int:
     raise ParseError(lineno, f"{what} must be an integer, got {token!r}")
 
 
+def _vector(tokens: list[str], lineno: int | None, what: str) -> ScoringVector:
+    """The scoring vector the tokens spell; a bad vector is a ParseError."""
+    try:
+        return ScoringVector(tuple(_int(t, lineno, what) for t in tokens))
+    except NonMonotoneAlpha as exc:
+        raise ParseError(lineno, f"NonMonotoneAlpha: {exc}") from None
+
+
 def parse_family_name(name: str, lineno: int | None = None) -> ScoringFamily:
     """Family from its CLI name: plurality, borda, veto, k-approval:<k>,
     half-approval, or constant:<c>."""
@@ -107,12 +116,13 @@ def parse_family_name(name: str, lineno: int | None = None) -> ScoringFamily:
 def parse_instance(text: str) -> ManipulationInstance:
     """Parse instance text, resolving families and validating.
 
-    The first problem (by line) is reported as a ParseError; structural
-    checks are delegated to :func:`votemanip.core.validate_instance` and
-    mapped back to the offending line.
+    Problems are reported as a ParseError carrying the line.  A bad
+    ``alpha`` or ``family`` line is reported when it is parsed; the other
+    structural checks are delegated to
+    :func:`votemanip.core.validate_instance`, and the issue on the
+    earliest line is reported.
     """
     alpha: ScoringVector | None = None
-    alpha_line: int | None = None
     p_val: int | None = None
     p_line: int | None = None
     s_rows: list[tuple[int, int, Order]] = []
@@ -126,9 +136,7 @@ def parse_instance(text: str) -> ManipulationInstance:
             if keyword == "alpha":
                 if len(tokens) < 2:
                     raise ParseError(lineno, "alpha needs at least one entry")
-                alpha = ScoringVector(
-                    tuple(_int(t, lineno, "alpha entry") for t in tokens[1:])
-                )
+                alpha = _vector(tokens[1:], lineno, "alpha entry")
             else:
                 if len(tokens) != 3:
                     raise ParseError(lineno, "family needs a name and a candidate count")
@@ -138,7 +146,6 @@ def parse_instance(text: str) -> ManipulationInstance:
                     alpha = family_vector(fam, m)
                 except UnsupportedM as exc:
                     raise ParseError(lineno, str(exc)) from None
-            alpha_line = lineno
         elif keyword == "p":
             if p_val is not None:
                 raise ParseError(lineno, "duplicate p directive")
@@ -178,8 +185,6 @@ def parse_instance(text: str) -> ManipulationInstance:
     issues = validate_instance(inst)
     if issues:
         def issue_line(where: str) -> int:
-            if where == "alpha":
-                return alpha_line or 0
             if where == "p":
                 return p_line or 0
             kind, index = where[0], int(where[2:-1])
@@ -194,8 +199,6 @@ def parse_instance(text: str) -> ManipulationInstance:
 def serialize_instance(inst: ManipulationInstance) -> str:
     """Canonical text form: alpha, p, s lines, t lines."""
     vec = inst.alpha
-    if not isinstance(vec, ScoringVector):
-        raise TypeError("resolve the scoring family to a vector before serializing")
     lines = ["alpha " + " ".join(map(str, vec.entries)), f"p {inst.p}"]
     lines += [f"s {v.weight} " + " ".join(map(str, v.order)) for v in inst.s_voters]
     lines += [f"t {w}" for w in inst.t_weights]
@@ -242,13 +245,7 @@ def _write(path: str, text: str) -> None:
 
 
 def _vector_arg(text: str) -> ScoringVector:
-    tokens = text.split()
-    if not tokens:
-        raise ParseError(None, "empty scoring vector")
-    vec = ScoringVector(tuple(_int(t, None, "scoring vector entry") for t in tokens))
-    if not vec.is_nonincreasing():
-        raise ParseError(None, f"NonMonotoneAlpha: entries must be nonincreasing, got {vec.entries}")
-    return vec
+    return _vector(text.split(), None, "scoring vector entry")
 
 
 def _partition_arg(text: str) -> PartitionInstance:
@@ -277,30 +274,24 @@ def _artifact_text(art: ReductionArtifact) -> str:
 
 
 def _cmd_classify(args: argparse.Namespace) -> int:
-    if args.alpha is not None and args.family is not None:
-        print("error: give --alpha or --family, not both", file=sys.stderr)
-        return 2
     if args.alpha is not None:
         print(_class_line(classify(_vector_arg(args.alpha))))
         return 0
-    if args.family is not None:
-        fam = parse_family_name(args.family)
-        if args.m is not None:
-            print(_class_line(classify(family_vector(fam, args.m))))
+    fam = parse_family_name(args.family)
+    if args.m is not None:
+        print(_class_line(classify(family_vector(fam, args.m))))
+    else:
+        fc = classify_family(fam)
+        if fc.always_easy:
+            print("P for all m")
         else:
-            fc = classify_family(fam)
-            if fc.always_easy:
-                print("P for all m")
-            else:
-                print(f"NP-hard for m >= {fc.hard_from}; P for smaller m")
-        return 0
-    print("error: classify needs --alpha or --family", file=sys.stderr)
-    return 2
+            print(f"NP-hard for m >= {fc.hard_from}; P for smaller m")
+    return 0
 
 
 def _cmd_evaluate(args: argparse.Namespace) -> int:
     inst = parse_instance(_read(args.instance))
-    vec = inst.alpha  # parse_instance resolves families to vectors
+    vec = inst.alpha
     orders: tuple[Order, ...] = ()
     if inst.t_weights:
         if not args.witness:
@@ -388,8 +379,9 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     c = sub.add_parser("classify", help="complexity class of a vector or family")
-    c.add_argument("--alpha", help="space-separated entries, e.g. '2 1 0'")
-    c.add_argument("--family", help="family name, e.g. borda or k-approval:2")
+    rule = c.add_mutually_exclusive_group(required=True)
+    rule.add_argument("--alpha", help="space-separated entries, e.g. '2 1 0'")
+    rule.add_argument("--family", help="family name, e.g. borda or k-approval:2")
     c.add_argument("--m", type=int, help="candidate count (with --family)")
     c.set_defaults(func=_cmd_classify)
 

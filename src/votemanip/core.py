@@ -6,15 +6,16 @@ weight, and a scoring vector awards its i-th entry to the candidate in
 ballot position i.  Weights and scores are plain Python integers, so
 tallies stay exact at any magnitude; generated instances routinely carry
 weights far beyond 64 bits and are never expanded into unit-weight ballots.
+
+A scoring vector checks its own entries when it is built, so every
+function that takes one can trust it; :func:`validate_instance` reports
+every other problem of a manipulation instance at once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
-    from .dichotomy import ScoringFamily
+from typing import Iterable, Mapping, Sequence
 
 Order = tuple[int, ...]
 ScoreTable = dict[int, int]
@@ -54,20 +55,28 @@ class InvalidInstance(ElectionError):
 
 @dataclass(frozen=True)
 class ScoringVector:
-    """Nonincreasing integer scores, one per ballot position."""
+    """Nonincreasing integer scores, one per ballot position.
+
+    Raises NonMonotoneAlpha when built from no entries, from entries that
+    are not all ``int``, or from entries that increase somewhere.
+    """
 
     entries: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "entries", tuple(self.entries))
+        entries = tuple(self.entries)
+        object.__setattr__(self, "entries", entries)
+        if not entries:
+            raise NonMonotoneAlpha("scoring vector is empty")
+        if not all(isinstance(e, int) for e in entries):
+            raise NonMonotoneAlpha(f"entries must be integers, got {entries}")
+        if sorted(entries, reverse=True) != list(entries):
+            raise NonMonotoneAlpha(f"entries must be nonincreasing, got {entries}")
 
     @property
     def m(self) -> int:
         """Number of candidates the vector scores."""
         return len(self.entries)
-
-    def is_nonincreasing(self) -> bool:
-        return all(a >= b for a, b in zip(self.entries, self.entries[1:]))
 
 
 @dataclass(frozen=True)
@@ -85,27 +94,46 @@ class WeightedVote:
 class ManipulationInstance:
     """Fixed voters, coalition weights, and the candidate to be made a winner.
 
-    ``alpha`` is normally a ScoringVector; it may also be a ScoringFamily,
-    in which case the concrete vector is generated from the candidate count
-    before solving (see :func:`votemanip.manipulation.instance_vector`).
-    ``s_voters`` are the voters whose ballots are already cast; the
-    coalition casts one ballot per entry of ``t_weights``.
+    ``alpha`` is a ScoringVector, which checked its own entries when it
+    was built; anything else, a ScoringFamily included, raises TypeError
+    (resolve a family with :func:`votemanip.dichotomy.family_vector`
+    first).  ``s_voters`` are
+    the voters whose ballots are already cast; the coalition casts one
+    ballot per entry of ``t_weights``.  The rest is checked by
+    :func:`validate_instance`.
     """
 
-    alpha: "ScoringVector | ScoringFamily"
+    alpha: ScoringVector
     s_voters: tuple[WeightedVote, ...]
     t_weights: tuple[int, ...]
     p: int
 
     def __post_init__(self) -> None:
+        if not isinstance(self.alpha, ScoringVector):
+            raise TypeError(
+                f"alpha must be a ScoringVector, got {type(self.alpha).__name__}; "
+                "resolve scoring families with family_vector first"
+            )
         object.__setattr__(self, "s_voters", tuple(self.s_voters))
         object.__setattr__(self, "t_weights", tuple(self.t_weights))
 
     def profile(self, orders: Iterable[Order]) -> tuple[WeightedVote, ...]:
-        """The fixed voters, then one vote per coalition weight cast with ``orders``."""
+        """The fixed voters, then one vote per coalition weight cast with ``orders``.
+
+        Each distinct ballot is checked once; when some are not
+        permutations of 1..m, NonPermutationOrder names the first
+        coalition voter (1-based) casting one.
+        """
         orders = tuple(orders)
         if len(orders) != len(self.t_weights):
             raise ElectionError(f"need {len(self.t_weights)} coalition ballots, got {len(orders)}")
+        m = self.alpha.m
+        bad = [orders.index(o) for o in set(orders) if not is_permutation(o, m)]
+        if bad:
+            i = min(bad)
+            raise NonPermutationOrder(
+                f"coalition ballot t[{i + 1}] {orders[i]} is not a permutation of 1..{m}"
+            )
         return self.s_voters + tuple(WeightedVote(w, o) for w, o in zip(self.t_weights, orders))
 
 
@@ -158,42 +186,22 @@ def unique_winner(table: Mapping[int, int]) -> int | None:
 class ValidationIssue:
     """One structural violation found by :func:`validate_instance`."""
 
-    code: str  # matching exception-class name, e.g. "NonMonotoneAlpha"
-    where: str  # "alpha", "p", "s[3]", "t[2]" (1-based positions)
+    code: str  # matching exception-class name, e.g. "NonPermutationOrder"
+    where: str  # "p", "s[3]", "t[2]" (1-based positions)
     message: str
 
 
 def validate_instance(inst: ManipulationInstance) -> list[ValidationIssue]:
     """Every structural violation in the instance, in component order.
 
-    Checks the scoring vector's shape, each fixed ballot, every weight,
-    and the preferred candidate's range; the vector's entries, the weights
-    and ``p`` must all be ``int``.  Each distinct ballot is checked
-    for being a permutation once; every voter holding an invalid ballot
-    still gets its own issue.  An empty list means the instance is valid.
-    Family-based instances must be resolved to a concrete vector first.
+    Checks the preferred candidate's range, each fixed ballot and every
+    weight; the weights and ``p`` must be ``int``.  Each distinct ballot
+    is checked for being a permutation once; every voter holding an
+    invalid ballot still gets its own issue.  The scoring vector checked
+    itself when it was built.  An empty list means the instance is valid.
     """
-    alpha = inst.alpha
-    if not isinstance(alpha, ScoringVector):
-        raise TypeError("resolve the scoring family to a vector before validating")
+    m = inst.alpha.m
     issues: list[ValidationIssue] = []
-    if alpha.m == 0:
-        issues.append(ValidationIssue("NonMonotoneAlpha", "alpha", "scoring vector is empty"))
-    elif not all(isinstance(e, int) for e in alpha.entries):
-        issues.append(
-            ValidationIssue(
-                "NonMonotoneAlpha", "alpha", f"entries must be integers, got {alpha.entries}"
-            )
-        )
-    elif not alpha.is_nonincreasing():
-        issues.append(
-            ValidationIssue(
-                "NonMonotoneAlpha",
-                "alpha",
-                f"entries must be nonincreasing, got {alpha.entries}",
-            )
-        )
-    m = alpha.m
     if not isinstance(inst.p, int) or not 1 <= inst.p <= m:
         issues.append(
             ValidationIssue(

@@ -13,22 +13,20 @@ coalition voter) and is re-evaluated before being returned.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from operator import add
-from typing import Iterable
 
 from .core import (
     CandidateOutOfRange,
     ElectionError,
     ManipulationInstance,
     Order,
-    ScoringVector,
     require_valid,
     tally,
     unique_winner,
     winners,
 )
-from .dichotomy import RuleClass, classify, family_vector, normalize_last_zero
+from .dichotomy import RuleClass, classify, normalize_last_zero
 
 DEFAULT_NODE_CAP = 10**7
 
@@ -70,46 +68,6 @@ class ManipulationAnswer:
     decision: bool
     witness: tuple[Order, ...] | None
     mode: str
-
-
-def instance_vector(inst: ManipulationInstance) -> ScoringVector:
-    """The instance's scoring vector, generated from its family if needed.
-
-    Family-based instances take their candidate count from the fixed
-    ballots; with no fixed voters there is nothing to infer from, which
-    raises UnsupportedM.
-    """
-    if isinstance(inst.alpha, ScoringVector):
-        return inst.alpha
-    if not inst.s_voters:
-        from .dichotomy import UnsupportedM
-
-        raise UnsupportedM("family-based instance with no fixed voters: candidate count unknown")
-    return family_vector(inst.alpha, len(inst.s_voters[0].order))
-
-
-def _validated(inst: ManipulationInstance) -> tuple[ManipulationInstance, ScoringVector]:
-    """The instance with its family resolved to a vector, once it is valid.
-
-    An out-of-range preferred candidate raises CandidateOutOfRange; any
-    other violation raises InvalidInstance listing every issue.
-    """
-    vec = instance_vector(inst)
-    if inst.alpha is not vec:
-        inst = replace(inst, alpha=vec)
-    if not isinstance(inst.p, int) or not 1 <= inst.p <= vec.m:
-        raise CandidateOutOfRange(f"preferred candidate {inst.p!r} outside 1..{vec.m}")
-    require_valid(inst)
-    return inst, vec
-
-
-def normalize_p_first(orders: Iterable[Order], p: int) -> tuple[Order, ...]:
-    """Hoist ``p`` to the top of every ballot, keeping the others' relative order.
-
-    Under any nonincreasing vector this never lowers p's score and never
-    raises anyone else's, so profiles where p wins stay winning.
-    """
-    return tuple((p,) + tuple(c for c in order if c != p) for order in orders)
 
 
 def _row_ballots(entries: tuple[int, ...], m: int, p: int | None) -> list[Order]:
@@ -236,9 +194,14 @@ def brute_force(
     ``node_cap`` budgets search-tree terminals: evaluated leaves plus cut
     branches.  Raises CapExhausted once answering would need more; any
     decision reached within the budget is exact.  The answer's ``mode``
-    names the vector's class (see :data:`MODES`).
+    names the vector's class (see :data:`MODES`).  An out-of-range
+    preferred candidate raises CandidateOutOfRange; any other violation
+    raises InvalidInstance listing every issue.
     """
-    inst, vec = _validated(inst)
+    vec = inst.alpha
+    if not isinstance(inst.p, int) or not 1 <= inst.p <= vec.m:
+        raise CandidateOutOfRange(f"preferred candidate {inst.p!r} outside 1..{vec.m}")
+    require_valid(inst)
     mode = MODES[classify(vec).tag]
     shifted = normalize_last_zero(vec)
     base_table = tally(inst.s_voters, shifted)
@@ -283,7 +246,7 @@ def solve_all_equal(inst: ManipulationInstance, unique: bool = False) -> Manipul
     one-candidate election.  The vector has one score row, which the
     search walks as a single path.  Raises WrongClass on other vectors.
     """
-    if classify(instance_vector(inst)).tag is not RuleClass.ALL_EQUAL:
+    if classify(inst.alpha).tag is not RuleClass.ALL_EQUAL:
         raise WrongClass("solver requires an all-equal scoring vector")
     return brute_force(inst, unique)
 
@@ -296,6 +259,6 @@ def solve_plurality_like(inst: ManipulationInstance, unique: bool = False) -> Ma
     profile makes it win.  The search walks that one row as a single
     path.  Raises WrongClass on other vectors.
     """
-    if classify(instance_vector(inst)).tag is not RuleClass.PLURALITY_LIKE:
+    if classify(inst.alpha).tag is not RuleClass.PLURALITY_LIKE:
         raise WrongClass("solver requires a plurality-like scoring vector")
     return brute_force(inst, unique)

@@ -39,12 +39,7 @@ from .core import (
     winners,
 )
 from .dichotomy import hardness_params
-from .manipulation import (
-    DEFAULT_NODE_CAP,
-    ManipulationAnswer,
-    brute_force,
-    normalize_p_first,
-)
+from .manipulation import DEFAULT_NODE_CAP, ManipulationAnswer, brute_force
 
 
 class OddSum(ElectionError):
@@ -310,10 +305,11 @@ def forward_witness(art: ReductionArtifact, subset: Iterable[int]) -> tuple[Orde
 def extract_witness(art: ReductionArtifact, t_votes: Iterable[Order]) -> set[int]:
     """Read an index subset off coalition ballots under which p wins.
 
-    Re-tallies first and raises NotAWinner if p is not among the winners.
-    After hoisting p to the top of each ballot (which cannot hurt p), the
-    subset is exactly the voters ranking a above b; on artifact-generated
-    winning profiles it always sums to the target.
+    Re-tallies first: a ballot that is not a permutation of the
+    candidates raises NonPermutationOrder, and NotAWinner is raised if p
+    is not among the winners.  The subset is the voters ranking a above
+    b; on artifact-generated winning profiles it always sums to the
+    target.
     """
     inst = art.instance
     t_votes = tuple(t_votes)
@@ -321,10 +317,9 @@ def extract_witness(art: ReductionArtifact, t_votes: Iterable[Order]) -> set[int
     if inst.p not in winners(table):
         raise NotAWinner(f"candidate {inst.p} does not win under the supplied ballots")
     rm = art.role_map
-    hoisted = normalize_p_first(t_votes, inst.p)
     return {
         i
-        for i, order in enumerate(hoisted, start=1)
+        for i, order in enumerate(t_votes, start=1)
         if order.index(rm.a) < order.index(rm.b)
     }
 

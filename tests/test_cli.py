@@ -144,15 +144,6 @@ class TestSerializeInstance:
         art = reduce_partition(ScoringVector((3, 2, 1, 0)), PartitionInstance((1, 3, 2)))
         assert parse_instance(serialize_instance(art.instance)) == art.instance
 
-    def test_family_rejected(self):
-        inst = parse_instance("family veto 3\np 1\n")  # resolved on parse, fine
-        serialize_instance(inst)
-        from votemanip import ScoringFamily
-
-        raw = ManipulationInstance(ScoringFamily.veto(), (), (1,), 1)
-        with pytest.raises(TypeError):
-            serialize_instance(raw)
-
     def test_big_integers_stay_decimal(self):
         w = 10**40 + 7
         inst = ManipulationInstance(

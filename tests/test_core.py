@@ -7,6 +7,9 @@ from votemanip import (
     ElectionError,
     InvalidInstance,
     ManipulationInstance,
+    NonMonotoneAlpha,
+    NonPermutationOrder,
+    ScoringFamily,
     ScoringVector,
     ValidationIssue,
     WeightedVote,
@@ -35,18 +38,30 @@ def naive_tally(votes, alpha):
 
 class TestScoringVector:
     def test_m_and_monotonicity(self):
-        v = ScoringVector((3, 2, 1, 0))
-        assert v.m == 4
-        assert v.is_nonincreasing()
-        assert not ScoringVector((1, 2)).is_nonincreasing()
-        assert ScoringVector(()).is_nonincreasing()  # vacuous
+        assert ScoringVector((3, 2, 1, 0)).m == 4
+        assert ScoringVector((5, 5)).m == 2
+        # empty, not all integers, or increasing somewhere: rejected when built
+        for entries in ((1, 0, 1), (0, 1, 2), (2.5, 1, 0), ()):
+            with pytest.raises(NonMonotoneAlpha):
+                ScoringVector(entries)
 
     def test_entries_coerced_to_tuple(self):
         assert ScoringVector([2, 1]).entries == (2, 1)
         assert WeightedVote(1, [2, 1]).order == (2, 1)
 
     def test_negative_entries_allowed(self):
-        assert ScoringVector((0, -1, -5)).is_nonincreasing()
+        assert ScoringVector((0, -1, -5)).entries == (0, -1, -5)
+
+
+class TestProfile:
+    def test_coalition_ballots_must_be_permutations(self):
+        inst = ManipulationInstance(ScoringVector((2, 1, 0)), (), (1, 1), 1)
+        for bad in ((1, 2, 2), (1, 2), (1, 2, 3, 4), (0, 1, 2)):
+            with pytest.raises(NonPermutationOrder, match=r"t\[2\]"):
+                inst.profile([(1, 2, 3), bad])
+        # several bad ballots: the first voter casting one is named
+        with pytest.raises(NonPermutationOrder, match=r"t\[1\] \(3, 3, 3\)"):
+            inst.profile([(3, 3, 3), (1, 1, 1)])
 
 
 class TestIsPermutation:
@@ -219,30 +234,26 @@ class TestValidation:
         assert all("must be an integer >= 1" in i.message for i in issues)
 
     def test_increasing_alpha(self):
-        for entries in ((1, 2), (1.5, 0)):  # a float entry is rejected too
-            inst = ManipulationInstance(ScoringVector(entries), (), (1,), 1)
-            (issue,) = validate_instance(inst)
-            assert issue.code == "NonMonotoneAlpha"
-            assert issue.where == "alpha"
+        # a bad vector is rejected when it is built, so no instance holds one
+        with pytest.raises(NonMonotoneAlpha, match=r"entries must be nonincreasing, got \(1, 2\)"):
+            ManipulationInstance(ScoringVector((1, 2)), (), (1,), 1)
+        with pytest.raises(NonMonotoneAlpha, match=r"entries must be integers, got \(1.5, 0\)"):
+            ManipulationInstance(ScoringVector((1.5, 0)), (), (1,), 1)
 
     def test_empty_alpha(self):
-        inst = ManipulationInstance(ScoringVector(()), (), (1,), 1)
-        codes = {i.code for i in validate_instance(inst)}
-        # empty vector implies p=1 is also out of range
-        assert "NonMonotoneAlpha" in codes
-        assert "CandidateOutOfRange" in codes
+        with pytest.raises(NonMonotoneAlpha, match="scoring vector is empty"):
+            ManipulationInstance(ScoringVector(()), (), (1,), 1)
 
     def test_all_issues_collected_not_just_first(self):
         inst = ManipulationInstance(
-            ScoringVector((1, 2)),
+            ScoringVector((2, 1)),
             (V(-1, (2, 1)), V(1, (1, 1))),
             (0,),
             p=9,
         )
         issues = validate_instance(inst)
-        assert len(issues) == 5
+        assert len(issues) == 4
         assert [i.code for i in issues] == [
-            "NonMonotoneAlpha",
             "CandidateOutOfRange",
             "NonPositiveWeight",
             "NonPermutationOrder",
@@ -250,16 +261,14 @@ class TestValidation:
         ]
 
     def test_require_valid_raises_with_issues(self):
-        inst = ManipulationInstance(ScoringVector((1, 2)), (), (), 1)
+        inst = ManipulationInstance(ScoringVector((1, 0)), (), (0,), 1)
         with pytest.raises(InvalidInstance) as err:
             require_valid(inst)
         assert len(err.value.issues) == 1
         assert isinstance(err.value.issues[0], ValidationIssue)
-        assert "NonMonotoneAlpha" in str(err.value)
+        assert "t[1]: NonPositiveWeight" in str(err.value)
 
     def test_family_alpha_must_be_resolved_first(self):
-        from votemanip import ScoringFamily
-
-        inst = ManipulationInstance(ScoringFamily.borda(), (), (1,), 1)
-        with pytest.raises(TypeError):
-            validate_instance(inst)
+        # an instance holds only a vector; families go through family_vector
+        with pytest.raises(TypeError, match="family_vector"):
+            ManipulationInstance(ScoringFamily.borda(), (), (1,), 1)

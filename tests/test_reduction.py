@@ -6,6 +6,7 @@ from votemanip import (
     ElectionError,
     GadgetCase,
     NotAWinner,
+    NonPermutationOrder,
     NotHard,
     OddSum,
     PartitionInstance,
@@ -305,7 +306,8 @@ class TestWitnessTranslation:
             assert extract_witness(art, forward_witness(art, subset)) == subset
 
     def test_extract_normalizes_p_position(self):
-        # p buried second on the first ballot; hoisting makes it a winner
+        # p buried second on the first ballot still ties for the win, and
+        # the subset is read off the a/b order alone
         art = self.art()
         assert extract_witness(art, ((2, 1, 3), (1, 3, 2))) == {1}
 
@@ -313,6 +315,14 @@ class TestWitnessTranslation:
         art = self.art()
         with pytest.raises(NotAWinner):
             extract_witness(art, ((2, 1, 3), (2, 1, 3)))
+
+    @pytest.mark.parametrize(
+        "ballots",
+        [((1, 2, 2), (1, 3, 3)), ((1, 1, 1), (1, 1, 1)), ((1, 2), (1, 3, 2))],
+    )
+    def test_extract_rejects_non_permutation_ballots(self, ballots):
+        with pytest.raises(NonPermutationOrder, match=r"t\[1\]"):
+            extract_witness(self.art(), ballots)
 
     def test_extract_rejects_wrong_ballot_count(self):
         art = self.art()
