@@ -144,6 +144,15 @@ class TestSerializeInstance:
         art = reduce_partition(ScoringVector((3, 2, 1, 0)), PartitionInstance((1, 3, 2)))
         assert parse_instance(serialize_instance(art.instance)) == art.instance
 
+    def test_family_rejected(self):
+        inst = parse_instance("family veto 3\np 1\n")  # resolved on parse, fine
+        assert serialize_instance(inst) == "alpha 1 1 0\np 1\n"
+        from votemanip import ScoringFamily
+
+        # an unresolved family never reaches serialize_instance: it is refused when built
+        with pytest.raises(TypeError):
+            serialize_instance(ManipulationInstance(ScoringFamily.veto(), (), (1,), 1))
+
     def test_big_integers_stay_decimal(self):
         w = 10**40 + 7
         inst = ManipulationInstance(

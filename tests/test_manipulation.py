@@ -11,6 +11,7 @@ from votemanip import (
     InvalidInstance,
     ManipulationInstance,
     RuleClass,
+    ScoringFamily,
     ScoringVector,
     WeightedVote,
     WrongClass,
@@ -41,6 +42,14 @@ def inst(alpha, s, t, p=1):
 
 # the three-candidate instance produced by splitting (1, 1) under veto
 VETO_11 = inst((1, 1, 0), [(1, (2, 3, 1)), (1, (3, 2, 1))], (4, 4))
+
+
+class TestInstanceVector:
+    def test_family_without_fixed_voters_rejected(self):
+        # an instance holds only a vector; with no fixed ballot to fix m,
+        # a family alpha is refused when the instance is built
+        with pytest.raises(TypeError):
+            ManipulationInstance(ScoringFamily.borda(), (), (1,), 1)
 
 
 class TestAllEqual:
