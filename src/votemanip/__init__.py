@@ -19,7 +19,6 @@ from .core import (
     require_valid,
     tally,
     unique_winner,
-    validate_instance,
     winners,
 )
 from .dichotomy import (

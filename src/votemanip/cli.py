@@ -23,6 +23,7 @@ from typing import Iterator
 
 from .core import (
     ElectionError,
+    InvalidInstance,
     ManipulationInstance,
     NonMonotoneAlpha,
     Order,
@@ -31,7 +32,6 @@ from .core import (
     is_permutation,
     tally,
     unique_winner,
-    validate_instance,
     winners,
 )
 from .dichotomy import (
@@ -114,13 +114,13 @@ def parse_family_name(name: str, lineno: int | None = None) -> ScoringFamily:
 
 
 def parse_instance(text: str) -> ManipulationInstance:
-    """Parse instance text, resolving families and validating.
+    """Parse instance text, resolving families; the instance checks itself.
 
     Problems are reported as a ParseError carrying the line.  A bad
-    ``alpha`` or ``family`` line is reported when it is parsed; the other
-    structural checks are delegated to
-    :func:`votemanip.core.validate_instance`, and the issue on the
-    earliest line is reported.
+    ``alpha`` or ``family`` line is reported when it is parsed; of the
+    issues the instance raises when it is built (see
+    :func:`votemanip.core.require_valid`), the one on the earliest line
+    is reported.
     """
     alpha: ScoringVector | None = None
     p_val: int | None = None
@@ -176,14 +176,14 @@ def parse_instance(text: str) -> ManipulationInstance:
         raise ParseError(None, "missing alpha or family directive")
     if p_val is None:
         raise ParseError(None, "missing p directive")
-    inst = ManipulationInstance(
-        alpha,
-        tuple(WeightedVote(w, o) for _, w, o in s_rows),
-        tuple(w for _, w in t_rows),
-        p_val,
-    )
-    issues = validate_instance(inst)
-    if issues:
+    try:
+        return ManipulationInstance(
+            alpha,
+            tuple(WeightedVote(w, o) for _, w, o in s_rows),
+            tuple(w for _, w in t_rows),
+            p_val,
+        )
+    except InvalidInstance as exc:
         def issue_line(where: str) -> int:
             if where == "p":
                 return p_line or 0
@@ -191,9 +191,8 @@ def parse_instance(text: str) -> ManipulationInstance:
             rows = s_rows if kind == "s" else t_rows
             return rows[index - 1][0]
 
-        first = min(issues, key=lambda issue: issue_line(issue.where))
-        raise ParseError(issue_line(first.where), f"{first.code}: {first.message}")
-    return inst
+        first = min(exc.issues, key=lambda issue: issue_line(issue.where))
+        raise ParseError(issue_line(first.where), f"{first.code}: {first.message}") from None
 
 
 def serialize_instance(inst: ManipulationInstance) -> str:
@@ -275,6 +274,8 @@ def _artifact_text(art: ReductionArtifact) -> str:
 
 def _cmd_classify(args: argparse.Namespace) -> int:
     if args.alpha is not None:
+        if args.m is not None:
+            raise ParseError(None, "--m goes with --family; a --alpha vector has its own size")
         print(_class_line(classify(_vector_arg(args.alpha))))
         return 0
     fam = parse_family_name(args.family)

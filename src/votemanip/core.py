@@ -7,9 +7,9 @@ ballot position i.  Weights and scores are plain Python integers, so
 tallies stay exact at any magnitude; generated instances routinely carry
 weights far beyond 64 bits and are never expanded into unit-weight ballots.
 
-A scoring vector checks its own entries when it is built, so every
-function that takes one can trust it; :func:`validate_instance` reports
-every other problem of a manipulation instance at once.
+Scoring vectors and manipulation instances check themselves when they
+are built, so every function that takes one can trust it; a bad instance
+raises InvalidInstance listing every problem at once.
 """
 
 from __future__ import annotations
@@ -97,10 +97,10 @@ class ManipulationInstance:
     ``alpha`` is a ScoringVector, which checked its own entries when it
     was built; anything else, a ScoringFamily included, raises TypeError
     (resolve a family with :func:`votemanip.dichotomy.family_vector`
-    first).  ``s_voters`` are
-    the voters whose ballots are already cast; the coalition casts one
-    ballot per entry of ``t_weights``.  The rest is checked by
-    :func:`validate_instance`.
+    first).  ``s_voters`` are the voters whose ballots are already cast;
+    the coalition casts one ballot per entry of ``t_weights``.  The rest
+    is checked by :func:`require_valid` when the instance is built (by
+    ``dataclasses.replace`` too), so an instance that exists is valid.
     """
 
     alpha: ScoringVector
@@ -116,6 +116,7 @@ class ManipulationInstance:
             )
         object.__setattr__(self, "s_voters", tuple(self.s_voters))
         object.__setattr__(self, "t_weights", tuple(self.t_weights))
+        require_valid(self)
 
     def profile(self, orders: Iterable[Order]) -> tuple[WeightedVote, ...]:
         """The fixed voters, then one vote per coalition weight cast with ``orders``.
@@ -128,9 +129,9 @@ class ManipulationInstance:
         if len(orders) != len(self.t_weights):
             raise ElectionError(f"need {len(self.t_weights)} coalition ballots, got {len(orders)}")
         m = self.alpha.m
-        bad = [orders.index(o) for o in set(orders) if not is_permutation(o, m)]
+        bad = _non_permutations(orders, m)
         if bad:
-            i = min(bad)
+            i = bad[0]
             raise NonPermutationOrder(
                 f"coalition ballot t[{i + 1}] {orders[i]} is not a permutation of 1..{m}"
             )
@@ -139,7 +140,23 @@ class ManipulationInstance:
 
 def is_permutation(order: Sequence[int], m: int) -> bool:
     """True when ``order`` lists each of 1..m exactly once."""
-    return len(order) == m and sorted(order) == list(range(1, m + 1))
+    try:
+        return len(order) == m and sorted(order) == list(range(1, m + 1))
+    except TypeError:  # items that do not compare, like (1, None), are no permutation
+        return False
+
+
+def _non_permutations(orders: Sequence[Order], m: int) -> list[int]:
+    """Indices of the orders that are not permutations of 1..m.
+
+    Each distinct order is checked once; orders with unhashable items
+    are checked one by one.
+    """
+    try:
+        bad = {order for order in set(orders) if not is_permutation(order, m)}
+    except TypeError:
+        return [i for i, order in enumerate(orders) if not is_permutation(order, m)]
+    return [i for i, order in enumerate(orders) if order in bad] if bad else []
 
 
 def tally(votes: Iterable[WeightedVote], alpha: ScoringVector) -> ScoreTable:
@@ -184,21 +201,21 @@ def unique_winner(table: Mapping[int, int]) -> int | None:
 
 @dataclass(frozen=True)
 class ValidationIssue:
-    """One structural violation found by :func:`validate_instance`."""
+    """One structural violation carried by InvalidInstance."""
 
     code: str  # matching exception-class name, e.g. "NonPermutationOrder"
     where: str  # "p", "s[3]", "t[2]" (1-based positions)
     message: str
 
 
-def validate_instance(inst: ManipulationInstance) -> list[ValidationIssue]:
-    """Every structural violation in the instance, in component order.
+def require_valid(inst: ManipulationInstance) -> None:
+    """Raise InvalidInstance listing every violation, in component order.
 
-    Checks the preferred candidate's range, each fixed ballot and every
-    weight; the weights and ``p`` must be ``int``.  Each distinct ballot
-    is checked for being a permutation once; every voter holding an
-    invalid ballot still gets its own issue.  The scoring vector checked
-    itself when it was built.  An empty list means the instance is valid.
+    Every instance runs this when it is built.  Checks the preferred
+    candidate's range, each fixed ballot and every weight; the weights
+    and ``p`` must be ``int``.  Each voter holding an invalid ballot gets
+    its own issue, after the issue for its weight.  The scoring vector
+    checked itself when it was built.
     """
     m = inst.alpha.m
     issues: list[ValidationIssue] = []
@@ -208,19 +225,11 @@ def validate_instance(inst: ManipulationInstance) -> list[ValidationIssue]:
                 "CandidateOutOfRange", "p", f"preferred candidate {inst.p!r} outside 1..{m}"
             )
         )
-    permutations: set[Order] = set()  # orders already found to be permutations of 1..m
+    bad = set(_non_permutations([vote.order for vote in inst.s_voters], m))
     for i, vote in enumerate(inst.s_voters, start=1):
         if not _is_weight(vote.weight):
             issues.append(_weight_issue(f"s[{i}]", vote.weight))
-        try:
-            valid = vote.order in permutations
-        except TypeError:  # unhashable items: checked every time, never remembered
-            valid = is_permutation(vote.order, m)
-        else:
-            if not valid and is_permutation(vote.order, m):
-                permutations.add(vote.order)
-                valid = True
-        if not valid:
+        if i - 1 in bad:
             issues.append(
                 ValidationIssue(
                     "NonPermutationOrder",
@@ -231,7 +240,8 @@ def validate_instance(inst: ManipulationInstance) -> list[ValidationIssue]:
     for i, w in enumerate(inst.t_weights, start=1):
         if not _is_weight(w):
             issues.append(_weight_issue(f"t[{i}]", w))
-    return issues
+    if issues:
+        raise InvalidInstance(issues)
 
 
 def _is_weight(w: object) -> bool:
@@ -240,10 +250,3 @@ def _is_weight(w: object) -> bool:
 
 def _weight_issue(where: str, w: object) -> ValidationIssue:
     return ValidationIssue("NonPositiveWeight", where, f"weight {w!r} must be an integer >= 1")
-
-
-def require_valid(inst: ManipulationInstance) -> None:
-    """Raise InvalidInstance listing every violation; no-op when valid."""
-    issues = validate_instance(inst)
-    if issues:
-        raise InvalidInstance(issues)

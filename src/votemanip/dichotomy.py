@@ -21,7 +21,7 @@ from .core import ElectionError, ScoringVector
 
 
 class NonPositiveScale(ElectionError):
-    """Scaling factor must be >= 1."""
+    """Scaling factor must be an integer >= 1."""
 
 
 class NotHard(ElectionError):
@@ -54,14 +54,17 @@ class DichotomyClass:
 
 def shift(alpha: ScoringVector, k: int) -> ScoringVector:
     """Add ``k`` to every entry.  Winners are unchanged; each candidate's
-    score moves by exactly ``k`` times the profile's total weight."""
+    score moves by exactly ``k`` times the profile's total weight.  A
+    non-integer ``k`` raises TypeError."""
+    if not isinstance(k, int):
+        raise TypeError(f"shift amount must be an integer, got {k!r}")
     return ScoringVector(tuple(e + k for e in alpha.entries))
 
 
 def scale(alpha: ScoringVector, k: int) -> ScoringVector:
-    """Multiply every entry by ``k >= 1``; winners are unchanged."""
-    if k < 1:
-        raise NonPositiveScale(f"scale factor must be >= 1, got {k}")
+    """Multiply every entry by an integer ``k >= 1``; winners are unchanged."""
+    if not isinstance(k, int) or k < 1:
+        raise NonPositiveScale(f"scale factor must be an integer >= 1, got {k!r}")
     return ScoringVector(tuple(e * k for e in alpha.entries))
 
 

@@ -5,9 +5,10 @@ the distinct score rows a coalition voter can cast, with a budget on
 search terminals.  All-equal and plurality-like vectors give a single
 p-first score row, so on them the search walks one path of coalition
 voters, which is the polynomial side of the dichotomy; hard vectors give
-several rows and the search prunes.  Every public solver validates its
-instance first.  Every "yes" answer carries a witness (one ballot per
-coalition voter) and is re-evaluated before being returned.
+several rows and the search prunes.  Instances checked themselves when
+they were built, so the solvers do no validation of their own.  Every
+"yes" answer carries a witness (one ballot per coalition voter) and is
+re-evaluated before being returned.
 """
 
 from __future__ import annotations
@@ -16,16 +17,7 @@ import itertools
 from dataclasses import dataclass
 from operator import add
 
-from .core import (
-    CandidateOutOfRange,
-    ElectionError,
-    ManipulationInstance,
-    Order,
-    require_valid,
-    tally,
-    unique_winner,
-    winners,
-)
+from .core import ElectionError, ManipulationInstance, Order, tally, unique_winner, winners
 from .dichotomy import RuleClass, classify, normalize_last_zero
 
 DEFAULT_NODE_CAP = 10**7
@@ -194,14 +186,9 @@ def brute_force(
     ``node_cap`` budgets search-tree terminals: evaluated leaves plus cut
     branches.  Raises CapExhausted once answering would need more; any
     decision reached within the budget is exact.  The answer's ``mode``
-    names the vector's class (see :data:`MODES`).  An out-of-range
-    preferred candidate raises CandidateOutOfRange; any other violation
-    raises InvalidInstance listing every issue.
+    names the vector's class (see :data:`MODES`).
     """
     vec = inst.alpha
-    if not isinstance(inst.p, int) or not 1 <= inst.p <= vec.m:
-        raise CandidateOutOfRange(f"preferred candidate {inst.p!r} outside 1..{vec.m}")
-    require_valid(inst)
     mode = MODES[classify(vec).tag]
     shifted = normalize_last_zero(vec)
     base_table = tally(inst.s_voters, shifted)
@@ -227,7 +214,7 @@ def solve(
     unique: bool = False,
     node_cap: int = DEFAULT_NODE_CAP,
 ) -> ManipulationAnswer:
-    """Decide manipulation for any vector with :func:`brute_force`, which validates first.
+    """Decide manipulation for any vector with :func:`brute_force`.
 
     There is one search for every class.  All-equal and plurality-like
     vectors give a single p-first score row, so the search walks one path

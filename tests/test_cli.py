@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 
 from votemanip import (
+    InvalidInstance,
     ManipulationInstance,
     PartitionInstance,
     ScoringVector,
@@ -153,6 +154,19 @@ class TestSerializeInstance:
         with pytest.raises(TypeError):
             serialize_instance(ManipulationInstance(ScoringFamily.veto(), (), (1,), 1))
 
+    def test_only_parseable_instances_reach_it(self):
+        # an instance the parser would reject cannot be built, so it never serializes
+        with pytest.raises(ParseError, match="line 2: CandidateOutOfRange"):
+            parse_instance("alpha 1 0\np 7\ns 0 1 1\nt -2\n")
+        with pytest.raises(InvalidInstance) as err:
+            ManipulationInstance(ScoringVector((1, 0)), (WeightedVote(0, (1, 1)),), (-2,), 7)
+        assert [(i.code, i.where) for i in err.value.issues] == [
+            ("CandidateOutOfRange", "p"),
+            ("NonPositiveWeight", "s[1]"),
+            ("NonPermutationOrder", "s[1]"),
+            ("NonPositiveWeight", "t[1]"),
+        ]
+
     def test_big_integers_stay_decimal(self):
         w = 10**40 + 7
         inst = ManipulationInstance(
@@ -239,6 +253,13 @@ class TestClassifyCommand:
         assert run_command(["classify", "--alpha", "1 0", "--family", "borda"]) == 2
         assert run_command(["classify", "--alpha", "0 1"]) == 2
         assert "NonMonotoneAlpha" in capsys.readouterr().err
+
+    def test_m_with_alpha_is_usage_error(self, capsys):
+        # a vector has its own size, so --m means something only with --family
+        assert run_command(["classify", "--alpha", "2 1 0", "--m", "7"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--m goes with --family" in captured.err
 
     def test_explicit_family_summary_rejected(self, capsys):
         # the name grammar has no explicit families, so this is a parse error

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,7 +19,6 @@ from votemanip import (
     require_valid,
     tally,
     unique_winner,
-    validate_instance,
     winners,
 )
 from helpers import random_nonincreasing, random_order
@@ -56,7 +57,7 @@ class TestScoringVector:
 class TestProfile:
     def test_coalition_ballots_must_be_permutations(self):
         inst = ManipulationInstance(ScoringVector((2, 1, 0)), (), (1, 1), 1)
-        for bad in ((1, 2, 2), (1, 2), (1, 2, 3, 4), (0, 1, 2)):
+        for bad in ((1, 2, 2), (1, 2), (1, 2, 3, 4), (0, 1, 2), ([1], [2], [3]), (1, None, 3)):
             with pytest.raises(NonPermutationOrder, match=r"t\[2\]"):
                 inst.profile([(1, 2, 3), bad])
         # several bad ballots: the first voter casting one is named
@@ -72,6 +73,9 @@ class TestIsPermutation:
         assert not is_permutation((0, 1, 2), 3)
         assert is_permutation((1,), 1)
         assert is_permutation((), 0)
+        # items that cannot be compared make no permutation, and raise nothing
+        assert not is_permutation((1, "a"), 2)
+        assert not is_permutation((1, None), 2)
 
 
 class TestTally:
@@ -155,6 +159,8 @@ class TestWinners:
 
 
 class TestValidation:
+    """An instance checks itself when it is built; bad ones raise every issue."""
+
     def good(self):
         return ManipulationInstance(
             ScoringVector((2, 1, 0)),
@@ -163,26 +169,31 @@ class TestValidation:
             p=1,
         )
 
+    def issues(self, *args, **kwargs):
+        with pytest.raises(InvalidInstance) as err:
+            ManipulationInstance(*args, **kwargs)
+        return list(err.value.issues)
+
     def test_valid_instance_reports_nothing(self):
-        assert validate_instance(self.good()) == []
-        require_valid(self.good())  # must not raise
+        require_valid(self.good())  # builds, and checking again must not raise
+
+    def test_replace_checks_again(self):
+        with pytest.raises(InvalidInstance) as err:
+            replace(self.good(), p=9)
+        assert [(i.code, i.where) for i in err.value.issues] == [("CandidateOutOfRange", "p")]
 
     def test_duplicate_candidate_in_ballot(self):
-        inst = ManipulationInstance(
-            ScoringVector((1, 0, 0)), (V(1, (1, 1, 2)),), (), 1
-        )
-        (issue,) = validate_instance(inst)
+        (issue,) = self.issues(ScoringVector((1, 0, 0)), (V(1, (1, 1, 2)),), (), 1)
         assert issue.code == "NonPermutationOrder"
         assert issue.where == "s[1]"
 
     def test_repeated_invalid_ballot_reported_per_voter(self):
-        inst = ManipulationInstance(
+        issues = self.issues(
             ScoringVector((1, 0, 0)),
             (V(1, (1, 1, 2)), V(1, (1, 2, 3)), V(1, (1, 1, 2)), V(0, (1, 1, 2)), V(1, (1, 2, 3))),
             (),
             1,
         )
-        issues = validate_instance(inst)
         assert [(i.code, i.where) for i in issues] == [
             ("NonPermutationOrder", "s[1]"),
             ("NonPermutationOrder", "s[3]"),
@@ -191,41 +202,42 @@ class TestValidation:
         ]
 
     def test_unhashable_ballot_is_nonpermutation(self):
-        inst = ManipulationInstance(
+        issues = self.issues(
             ScoringVector((1, 0)), (V(1, (1, 2)), V(1, ([1], [2])), V(1, ([1], [2]))), (), 1
         )
-        issues = validate_instance(inst)
         assert [(i.code, i.where) for i in issues] == [
             ("NonPermutationOrder", "s[2]"),
             ("NonPermutationOrder", "s[3]"),
         ]
 
+    def test_incomparable_ballot_is_nonpermutation(self):
+        for bad in ((1, "a"), (1, None)):
+            issues = self.issues(ScoringVector((1, 0)), (V(1, (1, 2)), V(2, bad)), (), 1)
+            assert [(i.code, i.where, i.message) for i in issues] == [
+                ("NonPermutationOrder", "s[2]", f"ballot {bad} is not a permutation of 1..2"),
+            ]
+
     def test_short_ballot_is_nonpermutation(self):
-        inst = ManipulationInstance(ScoringVector((1, 0, 0)), (V(1, (1, 2)),), (), 1)
-        codes = [i.code for i in validate_instance(inst)]
-        assert codes == ["NonPermutationOrder"]
+        issues = self.issues(ScoringVector((1, 0, 0)), (V(1, (1, 2)),), (), 1)
+        assert [i.code for i in issues] == ["NonPermutationOrder"]
 
     def test_p_out_of_range(self):
         for p in (0, 4, -1, 1.5, 2.0):
-            inst = ManipulationInstance(ScoringVector((1, 0, 0)), (), (1,), p)
-            (issue,) = validate_instance(inst)
+            (issue,) = self.issues(ScoringVector((1, 0, 0)), (), (1,), p)
             assert issue.code == "CandidateOutOfRange"
             assert issue.where == "p"
+            assert issue.message == f"preferred candidate {p!r} outside 1..3"
 
     def test_nonpositive_weights(self):
-        inst = ManipulationInstance(
-            ScoringVector((1, 0)), (V(0, (1, 2)),), (1, 0, -2), 1
-        )
-        issues = validate_instance(inst)
+        issues = self.issues(ScoringVector((1, 0)), (V(0, (1, 2)),), (1, 0, -2), 1)
         assert [i.where for i in issues] == ["s[1]", "t[2]", "t[3]"]
         assert {i.code for i in issues} == {"NonPositiveWeight"}
 
     def test_non_integer_weights(self):
         # float weights would otherwise tally to float scores and wrong answers
-        inst = ManipulationInstance(
+        issues = self.issues(
             ScoringVector((1, 0)), (V(1.1, (2, 1)), V(2, (2, 1))), (3.3, 2.0), 1
         )
-        issues = validate_instance(inst)
         assert [(i.code, i.where) for i in issues] == [
             ("NonPositiveWeight", "s[1]"),
             ("NonPositiveWeight", "t[1]"),
@@ -245,13 +257,12 @@ class TestValidation:
             ManipulationInstance(ScoringVector(()), (), (1,), 1)
 
     def test_all_issues_collected_not_just_first(self):
-        inst = ManipulationInstance(
+        issues = self.issues(
             ScoringVector((2, 1)),
             (V(-1, (2, 1)), V(1, (1, 1))),
             (0,),
             p=9,
         )
-        issues = validate_instance(inst)
         assert len(issues) == 4
         assert [i.code for i in issues] == [
             "CandidateOutOfRange",
@@ -261,9 +272,8 @@ class TestValidation:
         ]
 
     def test_require_valid_raises_with_issues(self):
-        inst = ManipulationInstance(ScoringVector((1, 0)), (), (0,), 1)
         with pytest.raises(InvalidInstance) as err:
-            require_valid(inst)
+            ManipulationInstance(ScoringVector((1, 0)), (), (0,), 1)
         assert len(err.value.issues) == 1
         assert isinstance(err.value.issues[0], ValidationIssue)
         assert "t[1]: NonPositiveWeight" in str(err.value)

@@ -43,6 +43,13 @@ class TestShiftScale:
             with pytest.raises(NonPositiveScale):
                 scale(SV((1, 0)), k)
 
+    def test_non_integer_amounts_are_named(self):
+        # the amount is at fault, not the vector it would produce
+        with pytest.raises(NonPositiveScale, match="scale factor must be an integer >= 1, got 1.5"):
+            scale(SV((2, 1, 0)), 1.5)
+        with pytest.raises(TypeError, match="shift amount must be an integer, got 0.5"):
+            shift(SV((2, 1, 0)), 0.5)
+
     def test_normalize_last_zero(self):
         assert normalize_last_zero(SV((5, 3, 2))).entries == (3, 1, 0)
         assert normalize_last_zero(SV((0, -2, -4))).entries == (4, 2, 0)

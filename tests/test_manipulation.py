@@ -6,7 +6,6 @@ from pathlib import Path
 import pytest
 
 from votemanip import (
-    CandidateOutOfRange,
     CapExhausted,
     InvalidInstance,
     ManipulationInstance,
@@ -77,9 +76,9 @@ class TestAllEqual:
     def test_wrong_class(self):
         with pytest.raises(WrongClass):
             solve_all_equal(inst((1, 0), [], (1,)))
-        # the class is checked before the instance is validated
-        with pytest.raises(WrongClass):
-            solve_all_equal(inst((1, 0), [(0, (1, 2))], (1,)))
+        # an invalid instance of the wrong class fails when it is built
+        with pytest.raises(InvalidInstance):
+            inst((1, 0), [(0, (1, 2))], (1,))
 
 
 class TestPluralityLike:
@@ -207,23 +206,23 @@ class TestBruteForce:
             brute_force(i, node_cap=0)
 
     def test_p_out_of_range(self):
-        i = inst((2, 1, 0), [], (1,), p=5)
-        with pytest.raises(CandidateOutOfRange):
-            brute_force(i)
+        # refused when the instance is built, so no search ever sees it
+        with pytest.raises(InvalidInstance) as err:
+            inst((2, 1, 0), [], (1,), p=5)
+        assert [i.code for i in err.value.issues] == ["CandidateOutOfRange"]
 
     @pytest.mark.parametrize(
         "bad",
         [
-            inst((2, 1, 0), [(1, (2, 2, 2))], (1,)),  # fixed ballot not a permutation
-            inst((2, 1, 0), [(1, (2, 3, 1))], (0,)),  # coalition weight 0
-            inst((2, 1, 0), [(1.5, (2, 3, 1))], (1,)),  # non-integer fixed weight
+            ((2, 1, 0), [(1, (2, 2, 2))], (1,)),  # fixed ballot not a permutation
+            ((2, 1, 0), [(1, (2, 3, 1))], (0,)),  # coalition weight 0
+            ((2, 1, 0), [(1.5, (2, 3, 1))], (1,)),  # non-integer fixed weight
         ],
     )
     def test_invalid_instance_rejected(self, bad):
+        # an invalid instance cannot be built, so no solver is ever handed one
         with pytest.raises(InvalidInstance):
-            brute_force(bad)
-        with pytest.raises(InvalidInstance):
-            brute_force(bad, restrict_p_first=False)
+            inst(*bad)
 
     def test_deep_coalition_is_iterative(self):
         # 3000 equal-weight voters, far past the recursion limit; the bound
@@ -307,18 +306,18 @@ class TestSolve:
         assert solve(VETO_11).mode == "brute-force"
 
     def test_validates_first(self):
-        bad = inst((1, 0), [(0, (1, 2))], (1,))
+        # every instance a solver is handed was checked when it was built
         with pytest.raises(InvalidInstance):
-            solve(bad)
+            inst((1, 0), [(0, (1, 2))], (1,))
         # float weights would tally to float scores and answer "no" here
         with pytest.raises(InvalidInstance):
-            solve(inst((1, 0), [(1.1, (2, 1)), (2.2, (2, 1))], (3.3,)))
+            inst((1, 0), [(1.1, (2, 1)), (2.2, (2, 1))], (3.3,))
 
     def test_easy_solvers_validate(self):
         with pytest.raises(InvalidInstance):
-            solve_plurality_like(inst((1, 0), [(1, (1, 2))], (0,)))
+            inst((1, 0), [(1, (1, 2))], (0,))
         with pytest.raises(InvalidInstance):
-            solve_all_equal(inst((3, 3), [(1, (1, 1))], (1,)))
+            inst((3, 3), [(1, (1, 1))], (1,))
 
     def test_matches_specialized_solvers_on_easy_classes(self):
         # the class solvers against the unpruned product scan
