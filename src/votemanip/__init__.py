@@ -42,6 +42,7 @@ from .manipulation import (
     DEFAULT_NODE_CAP,
     CapExhausted,
     ManipulationAnswer,
+    SearchStats,
     WrongClass,
     brute_force,
     solve,

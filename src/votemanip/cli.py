@@ -7,8 +7,9 @@ Instance files are line oriented UTF-8; ``#`` starts a comment.  One
 Witness files carry one ``t-vote <index> <ballot>`` line per coalition
 voter.  All integers are decimal and may be arbitrarily long up to the
 interpreter's integer-string limit (``sys.get_int_max_str_digits()``,
-4300 digits by default); that limit also bounds the scores ``evaluate``
-prints.
+4300 digits by default).  That limit also bounds every integer the
+commands print, such as the scores ``evaluate`` prints or the weights of a
+reduced instance; a longer one is reported with its digit count.
 
 Exit codes: 0 = yes/pass/success, 1 = no/fail, 2 = usage or parse error,
 3 = search budget exhausted.
@@ -18,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import math
 import sys
 from typing import Iterator
 
@@ -83,6 +85,23 @@ def _int(token: str, lineno: int | None, what: str) -> int:
             f"interpreter's limit of {sys.get_int_max_str_digits()}",
         )
     raise ParseError(lineno, f"{what} must be an integer, got {token!r}")
+
+
+def _decimal(n: int, what: str) -> str:
+    """``str(n)``; an integer too long for it is a ParseError naming its digits."""
+    try:
+        return str(n)
+    except ValueError:
+        pass
+    size = abs(n)
+    digits = max(1, int((size.bit_length() - 1) * math.log10(2)))  # at most the true count
+    while size >= 10**digits:
+        digits += 1
+    raise ParseError(
+        None,
+        f"{what} has {digits} digits, more than this interpreter's limit of "
+        f"{sys.get_int_max_str_digits()} for printing it",
+    )
 
 
 def _vector(tokens: list[str], lineno: int | None, what: str) -> ScoringVector:
@@ -198,9 +217,12 @@ def parse_instance(text: str) -> ManipulationInstance:
 def serialize_instance(inst: ManipulationInstance) -> str:
     """Canonical text form: alpha, p, s lines, t lines."""
     vec = inst.alpha
-    lines = ["alpha " + " ".join(map(str, vec.entries)), f"p {inst.p}"]
-    lines += [f"s {v.weight} " + " ".join(map(str, v.order)) for v in inst.s_voters]
-    lines += [f"t {w}" for w in inst.t_weights]
+    lines = ["alpha " + " ".join(_decimal(x, "alpha entry") for x in vec.entries), f"p {inst.p}"]
+    lines += [
+        f"s {_decimal(v.weight, 'voter weight')} " + " ".join(map(str, v.order))
+        for v in inst.s_voters
+    ]
+    lines += [f"t {_decimal(w, 'coalition weight')}" for w in inst.t_weights]
     return "\n".join(lines) + "\n"
 
 
@@ -265,8 +287,10 @@ def _artifact_text(art: ReductionArtifact) -> str:
     roles = " ".join(f"{rm.role_name(c)}={c}" for c in range(1, rm.m + 1))
     header = (
         f"# reduction case={art.case.value} ell={art.ell} r={art.r} "
-        f"target={art.target} equalizer-weight={art.equalizer_weight} t-unit={art.t_unit}\n"
-        f"# partition ks={' '.join(map(str, art.source.ks))}\n"
+        f"target={_decimal(art.target, 'target')} "
+        f"equalizer-weight={_decimal(art.equalizer_weight, 'equalizer weight')} "
+        f"t-unit={_decimal(art.t_unit, 't-unit')}\n"
+        f"# partition ks={' '.join(_decimal(k, 'partition integer') for k in art.source.ks)}\n"
         f"# roles {roles}\n"
     )
     return header + serialize_instance(art.instance)
@@ -303,8 +327,9 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
             return 2
         orders = parse_witness(_read(args.witness), len(inst.t_weights), vec.m)
     table = tally(inst.profile(orders), vec)
-    for c in range(1, vec.m + 1):
-        print(f"score {c} {table[c]}")
+    scores = [_decimal(table[c], f"score of candidate {c}") for c in range(1, vec.m + 1)]
+    for c, score in enumerate(scores, start=1):
+        print(f"score {c} {score}")
     print("winners " + " ".join(map(str, sorted(winners(table)))))
     top = unique_winner(table)
     print(f"unique {top if top is not None else 'none'}")
@@ -338,7 +363,7 @@ def _cmd_extract(args: argparse.Namespace) -> int:
     orders = parse_witness(_read(args.witness), len(art.instance.t_weights), art.role_map.m)
     subset = extract_witness(art, orders)
     print("indices " + " ".join(map(str, sorted(subset))))
-    print(f"sum {sum(art.source.ks[i - 1] for i in subset)}")
+    print(f"sum {_decimal(sum(art.source.ks[i - 1] for i in subset), 'subset sum')}")
     return 0
 
 
@@ -347,7 +372,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         _vector_arg(args.alpha), _partition_arg(args.partition), node_cap=args.cap
     )
     art = report.artifact
-    print(f"case {art.case.value} ell={art.ell} r={art.r} target={art.target}")
+    print(f"case {art.case.value} ell={art.ell} r={art.r} target={_decimal(art.target, 'target')}")
     if report.partition_witness is None:
         print("partition no")
     else:
@@ -358,7 +383,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     print(f"unique-manipulation {'yes' if report.ump.decision else 'no'}")
     if report.extracted is not None:
         print("extracted-indices " + " ".join(map(str, sorted(report.extracted))))
-        print(f"extracted-sum {report.extracted_sum}")
+        print(f"extracted-sum {_decimal(report.extracted_sum, 'extracted sum')}")
         if report.extraction_from_tie:
             print("extraction-from-tie yes")
     print(f"verdict {'pass' if report.passed else 'fail'}")

@@ -14,7 +14,7 @@ re-evaluated before being returned.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from operator import add
 
 from .core import ElectionError, ManipulationInstance, Order, tally, unique_winner, winners
@@ -34,6 +34,33 @@ class WrongClass(ElectionError):
     """A class-specific solver was handed a vector of another class."""
 
 
+@dataclass(frozen=True)
+class SearchStats:
+    """How one search spent its budget, counted only at terminals.
+
+    A terminal is a node the walk does not descend from.  ``leaves``
+    counts evaluated leaves, where every coalition voter has a ballot
+    (the winning leaf included).  ``monotone`` counts branches cut by the
+    monotone bound: one rival already beats p's best reachable score.
+    ``capacity`` counts branches cut by the capacity bound: the k
+    highest-scoring rivals cannot absorb the points the voters still to
+    vote must give them.  ``terminals`` is their sum, the number
+    ``node_cap`` budgets.  ``rows`` is the number of distinct score rows
+    each coalition voter picks from, and ``deepest`` the most coalition
+    voters that held a ballot at any node the walk reached.
+    """
+
+    rows: int
+    leaves: int
+    monotone: int
+    capacity: int
+    deepest: int
+
+    @property
+    def terminals(self) -> int:
+        return self.leaves + self.monotone + self.capacity
+
+
 class CapExhausted(ElectionError):
     """Answering would need more search terminals than the budget allows.
 
@@ -41,25 +68,34 @@ class CapExhausted(ElectionError):
     search tree.  ``search_space`` is the number of leaves an unpruned
     search would visit: distinct score rows to the power of the
     coalition size.  The message writes it as ``rows^voters``, which
-    stays printable however many digits the power has.
+    stays printable however many digits the power has.  ``stats`` holds
+    the terminals spent by cause when the budget ran out, and in
+    ``stats.deepest`` how many coalition voters the walk got to assign.
     """
 
-    def __init__(self, node_cap: int, rows: int, voters: int):
+    def __init__(self, node_cap: int, voters: int, stats: SearchStats):
         self.node_cap = node_cap
-        self.search_space = rows**voters
+        self.search_space = stats.rows**voters
+        self.stats = stats
         super().__init__(
             f"search needs more than {node_cap} terminals, counting leaf evaluations "
-            f"and cut branches (search space has {rows}^{voters} leaves)"
+            f"and cut branches (search space has {stats.rows}^{voters} leaves; "
+            f"deepest level reached {stats.deepest} of {voters})"
         )
 
 
 @dataclass(frozen=True)
 class ManipulationAnswer:
-    """Decision plus, on yes, one witness ballot per coalition voter."""
+    """Decision plus, on yes, one witness ballot per coalition voter.
+
+    ``stats`` says how the search reached the answer; it takes no part
+    in comparing answers.
+    """
 
     decision: bool
     witness: tuple[Order, ...] | None
     mode: str
+    stats: SearchStats = field(compare=False)
 
 
 def _row_ballots(entries: tuple[int, ...], m: int, p: int | None) -> list[Order]:
@@ -97,20 +133,28 @@ def _ballot_row(ballot: Order, entries: tuple[int, ...]) -> list[int]:
     return row
 
 
-def _search(weights, rows, base, p, top, unique, node_cap):
-    """First winning pick of one score row per coalition voter, or None.
+def _search(weights, rows, base, p, unique, node_cap):
+    """First winning pick of one score row per coalition voter, and stats.
 
     ``rows[j][c]`` is what row j gives candidate c (0-based) at weight 1
     and ``base`` what the fixed voters give, both on a vector shifted so
-    its last entry is 0; ``top`` is the shifted top entry.  Voter i picks
-    ``rows[picks[i]]``; voters are assigned left to right and each tries
-    rows in order, so the first winning assignment reached is the
-    lexicographically first one.  Three cuts keep that witness:
+    its last entry is 0.  Voter i picks ``rows[picks[i]]``; voters are
+    assigned left to right and each tries rows in order, so the first
+    winning assignment reached is the lexicographically first one.  Four
+    cuts keep that witness:
 
     * monotone bound: shifted entries are >= 0, so rivals never lose
-      points and p gains at most ``top`` times the weight still to vote;
-      a branch dies once a rival beats that best score (or ties it, when
-      ``unique``), and a leaf is a win exactly when it is not cut;
+      points and p gains at most ``top`` times the weight R still to
+      vote, reaching at most P (less 1 when ``unique``); a branch dies
+      once a rival beats P, and a leaf is a win exactly when it is not
+      cut;
+    * capacity bound: each voter still to vote gives any k rivals k
+      distinct positions, so they gain at least R times L_k, the sum of
+      the k smallest shifted entries; a branch dies once, for some k in
+      1..m-1, the k highest-scoring rivals have less room than that
+      below P (k = 1 is the monotone bound, since L_1 = 0).  Every row
+      is a permutation of the shifted vector and k < m, so the k
+      smallest entries are the same with p pinned first or not;
     * row dedup: ``rows`` holds each distinct score row once;
     * equal-weight symmetry: voter i picks no earlier row than voter i-1
       when their weights are equal, since swapping their picks changes
@@ -124,7 +168,13 @@ def _search(weights, rows, base, p, top, unique, node_cap):
     """
     n = len(weights)
     nrows = len(rows)
-    slack = [0] * (n + 1)  # the most p can still gain from voters i..n-1
+    ascending = sorted(rows[0])
+    top = ascending[-1]
+    # lows[k-1] = L_k; with a flat tail every L_k is 0 and the monotone
+    # bound implies the capacity bound, so one-row walks skip it
+    lows = list(itertools.accumulate(ascending[:-1]))
+    capacity_on = bool(lows) and lows[-1] > 0
+    slack = [0] * (n + 1)  # the most p can still gain from voters i..n-1: top * R
     for i in range(n - 1, -1, -1):
         slack[i] = slack[i + 1] + weights[i] * top
     strict = 1 if unique else 0
@@ -139,31 +189,53 @@ def _search(weights, rows, base, p, top, unique, node_cap):
     picks = [0] * n
     score_p = [base[p]] + [0] * n
     score_rivals = [base[:p] + base[p + 1:]] + [None] * n
-    terminals = 0
+    terminals = monotone = capacity = deepest = 0
     level = 0
     while True:
         rivals = score_rivals[level]
-        dead = bool(rivals) and max(rivals) > score_p[level] + slack[level] - strict
-        if level < n and not dead:
+        best = score_p[level] + slack[level] - strict
+        dead = bool(rivals) and max(rivals) > best
+        full = False
+        if capacity_on and level < n and not dead:
+            # k * P - S_k >= R * L_k, with S_k the sum of the k highest
+            # scores, both sides times top so that top * R is the slack
+            room = slack[level]
+            ranked = itertools.accumulate(sorted(rivals, reverse=True))
+            for k, (taken, low) in enumerate(zip(ranked, lows), 1):
+                if top * (k * best - taken) < room * low:
+                    full = True
+                    break
+        if level < n and not (dead or full):
             same = level and weights[level] == weights[level - 1]
             pick = picks[level - 1] if same else 0
         else:
+            if level > deepest:
+                deepest = level
             if terminals >= node_cap:
-                raise CapExhausted(node_cap, nrows, n)
+                leaves = terminals - monotone - capacity
+                stats = SearchStats(nrows, leaves, monotone, capacity, deepest)
+                raise CapExhausted(node_cap, n, stats)
             terminals += 1
-            if not dead:
-                return picks
+            if full:
+                capacity += 1
+            elif level < n:
+                monotone += 1
+            if not (dead or full):
+                break
             level -= 1
             while level >= 0 and picks[level] == nrows - 1:
                 level -= 1
             if level < 0:
-                return None
+                picks = None
+                break
             pick = picks[level] + 1
         picks[level] = pick
         gain_p, gain_rivals = gains[level]
         score_p[level + 1] = score_p[level] + gain_p[pick]
         score_rivals[level + 1] = list(map(add, score_rivals[level], gain_rivals[pick]))
         level += 1
+    leaves = terminals - monotone - capacity
+    return picks, SearchStats(nrows, leaves, monotone, capacity, deepest)
 
 
 def brute_force(
@@ -180,13 +252,15 @@ def brute_force(
     first unless ``restrict_p_first`` is off).  Voters are assigned left
     to right and the first satisfying assignment in lexicographic ballot
     order wins, so answers and witnesses are reproducible.  A monotone
-    score bound and an equal-weight symmetry cut prune branches that
-    cannot hold that witness (see :func:`_search`).
+    score bound, a capacity bound on the highest-scoring rivals and an
+    equal-weight symmetry cut prune branches that cannot hold that
+    witness (see :func:`_search`).
 
     ``node_cap`` budgets search-tree terminals: evaluated leaves plus cut
     branches.  Raises CapExhausted once answering would need more; any
     decision reached within the budget is exact.  The answer's ``mode``
-    names the vector's class (see :data:`MODES`).
+    names the vector's class (see :data:`MODES`), and its ``stats`` count
+    the terminals by cause (see :class:`SearchStats`).
     """
     vec = inst.alpha
     mode = MODES[classify(vec).tag]
@@ -195,18 +269,16 @@ def brute_force(
     base = [base_table[c] for c in range(1, vec.m + 1)]
     ballots = _row_ballots(vec.entries, vec.m, inst.p if restrict_p_first else None)
     rows = [_ballot_row(b, shifted.entries) for b in ballots]
-    picks = _search(
-        list(inst.t_weights), rows, base, inst.p - 1, shifted.entries[0], unique, node_cap
-    )
+    picks, stats = _search(list(inst.t_weights), rows, base, inst.p - 1, unique, node_cap)
     if picks is None:
-        return ManipulationAnswer(False, None, mode)
+        return ManipulationAnswer(False, None, mode, stats)
     witness = tuple(ballots[i] for i in picks)
     # Soundness check on every yes: the witness must actually make p win.
     table = tally(inst.profile(witness), vec)
     won = unique_winner(table) == inst.p if unique else inst.p in winners(table)
     if not won:
         raise ElectionError("internal error: witness failed re-evaluation")
-    return ManipulationAnswer(True, witness, mode)
+    return ManipulationAnswer(True, witness, mode, stats)
 
 
 def solve(

@@ -176,6 +176,19 @@ class TestSerializeInstance:
         assert f"s {w} 1 2\n" in text
         assert parse_instance(text) == inst
 
+    def test_integer_past_interpreter_limit(self):
+        limit = sys.get_int_max_str_digits()
+        for alpha, s_weight, t_weight, named in (
+            ((0, -(10**limit)), 1, 1, f"alpha entry has {limit + 1} digits"),
+            ((1, 0), 10 ** (2 * limit) - 1, 1, f"voter weight has {2 * limit} digits"),
+            ((1, 0), 1, 10**limit, f"coalition weight has {limit + 1} digits"),
+        ):
+            inst = ManipulationInstance(
+                ScoringVector(alpha), (WeightedVote(s_weight, (1, 2)),), (t_weight,), 1
+            )
+            with pytest.raises(ParseError, match=named):
+                serialize_instance(inst)
+
 
 class TestWitnessFormat:
     def test_round_trip(self):
@@ -333,6 +346,20 @@ class TestEvaluateCommand:
         assert f"line 3: voter weight 777777777777... has {limit + 700} digits" in err
         assert len(err) < 200
 
+    def test_score_past_interpreter_limit(self, tmp_path, capsys):
+        # every integer read fits the limit, but a score is their product
+        limit = sys.get_int_max_str_digits()
+        nines = "9" * (limit // 2 + 850)
+        f = tmp_path / "i.txt"
+        f.write_text(f"alpha {nines} 0\np 1\ns {nines} 1 2\n")
+        assert run_command(["evaluate", str(f)]) == 2
+        out, err = capsys.readouterr()
+        digits = 2 * len(nines)
+        assert out == ""
+        assert f"error: score of candidate 1 has {digits} digits, more than this " \
+            f"interpreter's limit of {limit}" in err
+        assert len(err) < 200
+
 
 class TestManipulateCommand:
     def test_yes_prints_witness(self, tmp_path, capsys):
@@ -424,6 +451,14 @@ class TestReduceCommand:
 
     def test_bad_partition_integer(self, capsys):
         assert run_command(["reduce", "--alpha", "1 1 0", "--partition", "1 0"]) == 2
+
+    def test_weights_past_interpreter_limit(self, capsys):
+        # the integers fit the limit; the gadget's weights outgrow them
+        nines = "9" * sys.get_int_max_str_digits()
+        assert run_command(["reduce", "--alpha", "2 1 0", "--partition", f"{nines} {nines}"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "digits, more than this interpreter's limit" in err and len(err) < 200
 
 
 class TestExtractCommand:

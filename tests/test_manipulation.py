@@ -22,6 +22,12 @@ from votemanip import (
 )
 from votemanip.cli import parse_instance
 from votemanip.manipulation import _row_ballots
+from votemanip.reduction import (
+    PartitionInstance,
+    extract_witness,
+    reduce_partition,
+    solve_partition,
+)
 from helpers import (
     product_oracle,
     random_instance,
@@ -254,6 +260,20 @@ class TestBruteForce:
         assert len(answers) == 1
 
 
+def close_rivals(rng, i, n):
+    """``i`` with n coalition voters and fixed voters that put p last and
+    leave every rival close below p's best reachable score."""
+    m, p = i.alpha.m, i.p
+    shifted = [x - i.alpha.entries[-1] for x in i.alpha.entries]
+    t_weights = tuple(rng.randint(1, 9) for _ in range(n))
+    rivals = [c for c in range(1, m + 1) if c != p]
+    # each rival takes every one of the top m-1 positions once
+    per_rival = sum(shifted[: m - 1]) or 1
+    w = max(1, shifted[0] * sum(t_weights) * rng.randint(70, 100) // (100 * per_rival))
+    rotations = tuple(V(w, tuple(rivals[j:] + rivals[:j]) + (p,)) for j in range(m - 1))
+    return replace(i, s_voters=rotations + i.s_voters, t_weights=t_weights)
+
+
 class TestDifferentialOracle:
     """The pruned search against the unpruned product scan in helpers."""
 
@@ -261,9 +281,11 @@ class TestDifferentialOracle:
         rng = random.Random(2718)
         big = 2**64
         seen = {True: 0, False: 0}
-        for trial in range(1200):
+        close_trials = close_cut = 0
+        for trial in range(1500):
             restrict = trial % 2 == 0
-            m = rng.randint(1, 5)
+            kind = trial // 2 % 5
+            m = rng.randint(3, 5) if kind == 4 else rng.randint(1, 5)
             per_voter = math.factorial(m - 1 if restrict else m)
             n_max = max(n for n in range(1, 5) if per_voter**n <= 1500)
             i = random_instance(
@@ -273,7 +295,6 @@ class TestDifferentialOracle:
                 max_coalition=n_max,
                 max_weight=9,
             )
-            kind = trial // 2 % 4
             if kind == 1:  # empty coalition
                 i = replace(i, t_weights=())
             elif kind == 2:  # equal-weight coalition
@@ -284,12 +305,19 @@ class TestDifferentialOracle:
                     s_voters=tuple(V(v.weight * big + rng.randrange(big), v.order) for v in i.s_voters),
                     t_weights=tuple(w * big + rng.randrange(big) for w in i.t_weights),
                 )
+            elif kind == 4:  # a heavy coalition against several close rivals
+                i = close_rivals(rng, i, n_max)
             for unique in (False, True):
                 want = product_oracle(i, unique, restrict)
                 got = brute_force(i, unique, restrict_p_first=restrict)
                 assert (got.decision, got.witness) == want, (i, unique, restrict)
                 seen[want[0]] += 1
+                if kind == 4:
+                    close_trials += 1
+                    close_cut += got.stats.capacity > 0
         assert min(seen.values()) > 400
+        # the capacity bound must be exercised, not only kept out of the way
+        assert close_cut >= close_trials // 4
 
     def test_big_weight_reduction_witness(self):
         w = 10**30
@@ -297,6 +325,51 @@ class TestDifferentialOracle:
         ans = brute_force(i)
         assert ans.decision and ans.witness == ((1, 2, 3), (1, 3, 2))
         assert product_oracle(i) == (True, ans.witness)
+
+
+# A Borda m=5 gadget over 8 integers: without the capacity bound its
+# search needs more than 500000 terminals, with it about a hundred
+BORDA_8 = PartitionInstance((38, 20, 57, 2, 14, 12, 26, 55))
+
+
+class TestCapacityBound:
+    def test_reduction_decided_within_few_terminals(self):
+        art = reduce_partition(SV((4, 3, 2, 1, 0)), BORDA_8)
+        half = sum(BORDA_8.ks) // 2
+        for unique in (False, True):
+            ans = brute_force(art.instance, unique, node_cap=500000)
+            assert ans.decision == (solve_partition(BORDA_8) is not None)
+            assert sum(BORDA_8.ks[k - 1] for k in extract_witness(art, ans.witness)) == half
+            assert ans.stats.capacity > 0
+            assert ans.stats.terminals < 1000
+
+    def test_stats_count_terminals_by_cause(self):
+        def counts(ans):
+            s = ans.stats
+            return s.rows, s.leaves, s.monotone, s.capacity, s.deepest
+
+        # rivals at 5 and 5, p reaches 8: the 8 points the coalition must
+        # give the rivals overfill the room of 3 + 3 they have below p
+        assert counts(brute_force(inst((1, 1, 0), [(5, (2, 3, 1))], (4, 4)))) == (2, 0, 0, 1, 0)
+        # p reaches only 1: one rival already beats it
+        assert counts(brute_force(inst((1, 1, 0), [(5, (2, 3, 1))], (1,)))) == (2, 0, 1, 0, 0)
+        # the first leaf loses, the second wins
+        assert counts(brute_force(VETO_11)) == (2, 2, 0, 0, 2)
+        # the one-row walk of an easy vector
+        assert counts(solve(inst((2, 0, 0), [(5, (2, 3, 1))], (1,) * 6))) == (1, 1, 0, 0, 6)
+
+    def test_cap_exhausted_reports_progress(self):
+        art = reduce_partition(SV((4, 3, 2, 1, 0)), BORDA_8)
+        with pytest.raises(CapExhausted) as err:
+            brute_force(art.instance, node_cap=50)
+        stats = err.value.stats
+        assert stats.terminals == 50 and stats.rows == 24
+        assert 0 < stats.deepest <= 8
+        assert f"deepest level reached {stats.deepest} of 8" in str(err.value)
+
+    def test_stats_take_no_part_in_equality(self):
+        ans = brute_force(VETO_11)
+        assert ans == replace(ans, stats=replace(ans.stats, leaves=7))
 
 
 class TestSolve:
