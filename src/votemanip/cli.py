@@ -11,8 +11,9 @@ interpreter's integer-string limit (``sys.get_int_max_str_digits()``,
 commands print, such as the scores ``evaluate`` prints or the weights of a
 reduced instance; a longer one is reported with its digit count.
 
-Exit codes: 0 = yes/pass/success, 1 = no/fail, 2 = usage or parse error,
-3 = search budget exhausted.
+The library types the text builds check their own values.  Every error is
+one ``error: ...`` line on stderr.  Exit codes: 0 = yes/pass/success,
+1 = no/fail, 2 = usage or parse error, 3 = search budget exhausted.
 """
 
 from __future__ import annotations
@@ -112,24 +113,23 @@ def _vector(tokens: list[str], lineno: int | None, what: str) -> ScoringVector:
         raise ParseError(lineno, f"NonMonotoneAlpha: {exc}") from None
 
 
+_FAMILY_NAMES = ("plurality", "borda", "veto", "half-approval", "k-approval", "constant")
+_FAMILY_PARAM = {"k-approval": "k", "constant": "value"}  # field that ":<integer>" sets
+
+
 def parse_family_name(name: str, lineno: int | None = None) -> ScoringFamily:
     """Family from its CLI name: plurality, borda, veto, k-approval:<k>,
-    half-approval, or constant:<c>."""
+    half-approval, or constant:<c>.  ScoringFamily checks the values."""
     base, _, arg = name.partition(":")
-    if base in ("plurality", "borda", "veto", "half-approval"):
-        if arg:
-            raise ParseError(lineno, f"family {base} takes no parameter")
-        return ScoringFamily(base)
-    if base == "k-approval":
-        k = _int(arg, lineno, "k-approval block size") if arg else None
-        if k is None or k < 1:
-            raise ParseError(lineno, "k-approval needs a block size >= 1, e.g. k-approval:2")
-        return ScoringFamily.k_approval(k)
-    if base == "constant":
-        if not arg:
-            raise ParseError(lineno, "constant needs a value, e.g. constant:3")
-        return ScoringFamily.constant(_int(arg, lineno, "constant value"))
-    raise ParseError(lineno, f"unknown family {name!r}")
+    if base not in _FAMILY_NAMES:
+        raise ParseError(lineno, f"unknown family {name!r}")
+    if arg and base not in _FAMILY_PARAM:
+        raise ParseError(lineno, f"family {base} takes no parameter")
+    params = {_FAMILY_PARAM[base]: _int(arg, lineno, f"{base} parameter")} if arg else {}
+    try:
+        return ScoringFamily(base, **params)
+    except ValueError as exc:
+        raise ParseError(lineno, str(exc)) from None
 
 
 def parse_instance(text: str) -> ManipulationInstance:
@@ -270,10 +270,7 @@ def _vector_arg(text: str) -> ScoringVector:
 
 
 def _partition_arg(text: str) -> PartitionInstance:
-    tokens = text.split()
-    if not tokens:
-        raise ParseError(None, "empty partition instance")
-    return PartitionInstance(tuple(_int(t, None, "partition integer") for t in tokens))
+    return PartitionInstance(tuple(_int(t, None, "partition integer") for t in text.split()))
 
 
 def _class_line(dc: DichotomyClass) -> str:
@@ -320,11 +317,9 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
     orders: tuple[Order, ...] = ()
     if inst.t_weights:
         if not args.witness:
-            print(
-                "error: instance has coalition voters; supply their ballots with --witness",
-                file=sys.stderr,
+            raise ParseError(
+                None, "instance has coalition voters; supply their ballots with --witness"
             )
-            return 2
         orders = parse_witness(_read(args.witness), len(inst.t_weights), vec.m)
     table = tally(inst.profile(orders), vec)
     scores = [_decimal(table[c], f"score of candidate {c}") for c in range(1, vec.m + 1)]
@@ -403,6 +398,17 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Weighted scoring-rule elections: evaluation, manipulation, reductions.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # options several subcommands share, each declared once
+    gadget = argparse.ArgumentParser(add_help=False)
+    gadget.add_argument("--alpha", required=True, help="hard scoring vector")
+    gadget.add_argument("--partition", required=True, help="space-separated positive integers")
+    budget = argparse.ArgumentParser(add_help=False)
+    budget.add_argument(
+        "--cap",
+        type=int,
+        default=DEFAULT_NODE_CAP,
+        help="search budget in terminals (an integer >= 0): evaluated leaves plus cut branches",
+    )
 
     c = sub.add_parser("classify", help="complexity class of a vector or family")
     rule = c.add_mutually_exclusive_group(required=True)
@@ -416,38 +422,26 @@ def _build_parser() -> argparse.ArgumentParser:
     e.add_argument("--witness", help="coalition ballots file (required when t lines exist)")
     e.set_defaults(func=_cmd_evaluate)
 
-    man = sub.add_parser("manipulate", help="decide coalition manipulation")
+    man = sub.add_parser("manipulate", parents=[budget], help="decide coalition manipulation")
     man.add_argument("instance", help="instance file, or - for stdin")
     man.add_argument("--unique", action="store_true", help="require a strict unique win")
-    man.add_argument(
-        "--cap",
-        type=int,
-        default=DEFAULT_NODE_CAP,
-        help="search budget in terminals: evaluated leaves plus cut branches",
-    )
     man.add_argument("--witness-out", help="also write the witness ballots to this file")
     man.set_defaults(func=_cmd_manipulate)
 
-    red = sub.add_parser("reduce", help="partition instance to manipulation instance")
-    red.add_argument("--alpha", required=True, help="hard scoring vector")
-    red.add_argument("--partition", required=True, help="space-separated positive integers")
+    red = sub.add_parser(
+        "reduce", parents=[gadget], help="partition instance to manipulation instance"
+    )
     red.add_argument("--out", help="write the instance here instead of stdout")
     red.set_defaults(func=_cmd_reduce)
 
-    ext = sub.add_parser("extract-witness", help="subset encoded by winning coalition ballots")
-    ext.add_argument("--alpha", required=True, help="hard scoring vector")
-    ext.add_argument("--partition", required=True, help="space-separated positive integers")
+    ext = sub.add_parser(
+        "extract-witness", parents=[gadget], help="subset encoded by winning coalition ballots"
+    )
     ext.add_argument("--witness", required=True, help="coalition ballots file")
     ext.set_defaults(func=_cmd_extract)
 
-    ver = sub.add_parser("verify", help="end-to-end reduction cross-check")
-    ver.add_argument("--alpha", required=True, help="hard scoring vector")
-    ver.add_argument("--partition", required=True, help="space-separated positive integers")
-    ver.add_argument(
-        "--cap",
-        type=int,
-        default=DEFAULT_NODE_CAP,
-        help="search budget in terminals: evaluated leaves plus cut branches",
+    ver = sub.add_parser(
+        "verify", parents=[gadget, budget], help="end-to-end reduction cross-check"
     )
     ver.set_defaults(func=_cmd_verify)
 
@@ -459,7 +453,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def run_command(argv: list[str] | None = None) -> int:
-    """Run one subcommand and translate outcomes into exit codes."""
+    """Run one subcommand; print any error as one ``error:`` line and map it to an exit code."""
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
@@ -467,18 +461,11 @@ def run_command(argv: list[str] | None = None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         return args.func(args)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except CapExhausted as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except NotAWinner as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except (ElectionError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        if isinstance(exc, CapExhausted):
+            return 3
+        return 1 if isinstance(exc, NotAWinner) else 2
 
 
 def main() -> None:

@@ -113,7 +113,12 @@ _KINDS = ("plurality", "borda", "veto", "k-approval", "half-approval", "constant
 
 @dataclass(frozen=True)
 class ScoringFamily:
-    """A scoring rule defined per candidate count (one vector for each m)."""
+    """A scoring rule defined per candidate count (one vector for each m).
+
+    Raises ValueError for an unknown kind, a k-approval ``k`` that is not
+    an ``int`` >= 1, a constant ``value`` that is not an ``int``, and an
+    explicit family without vectors.
+    """
 
     kind: str
     k: int | None = None  # k-approval block size
@@ -123,10 +128,10 @@ class ScoringFamily:
     def __post_init__(self) -> None:
         if self.kind not in _KINDS:
             raise ValueError(f"unknown family kind {self.kind!r}")
-        if self.kind == "k-approval" and (self.k is None or self.k < 1):
-            raise ValueError("k-approval needs a block size k >= 1")
-        if self.kind == "constant" and self.value is None:
-            raise ValueError("constant families need a value")
+        if self.kind == "k-approval" and not (isinstance(self.k, int) and self.k >= 1):
+            raise ValueError(f"k-approval needs an integer block size k >= 1, got {self.k!r}")
+        if self.kind == "constant" and not isinstance(self.value, int):
+            raise ValueError(f"constant families need an integer value, got {self.value!r}")
         if self.kind == "explicit" and not self.table:
             raise ValueError("explicit families need at least one vector")
 
@@ -162,11 +167,12 @@ class ScoringFamily:
 def family_vector(family: ScoringFamily, m: int) -> ScoringVector:
     """Concrete scoring vector of the family at candidate count ``m``.
 
-    Raises UnsupportedM below 1, for k-approval with fewer than k
-    candidates, and for explicit tables without an entry for m.
+    Raises UnsupportedM for an ``m`` that is not an integer >= 1, for
+    k-approval with fewer than k candidates, and for explicit tables
+    without an entry for m.
     """
-    if m < 1:
-        raise UnsupportedM(f"candidate count must be >= 1, got {m}")
+    if not isinstance(m, int) or m < 1:
+        raise UnsupportedM(f"candidate count must be an integer >= 1, got {m!r}")
     kind = family.kind
     if kind == "plurality":
         return ScoringVector((1,) + (0,) * (m - 1))

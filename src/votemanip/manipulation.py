@@ -257,11 +257,14 @@ def brute_force(
     witness (see :func:`_search`).
 
     ``node_cap`` budgets search-tree terminals: evaluated leaves plus cut
-    branches.  Raises CapExhausted once answering would need more; any
-    decision reached within the budget is exact.  The answer's ``mode``
-    names the vector's class (see :data:`MODES`), and its ``stats`` count
-    the terminals by cause (see :class:`SearchStats`).
+    branches.  It must be an integer >= 0, else ValueError is raised.
+    Raises CapExhausted once answering would need more; any decision
+    reached within the budget is exact.  The answer's ``mode`` names the
+    vector's class (see :data:`MODES`), and its ``stats`` count the
+    terminals by cause (see :class:`SearchStats`).
     """
+    if not isinstance(node_cap, int) or node_cap < 0:
+        raise ValueError(f"search budget node_cap must be an integer >= 0, got {node_cap!r}")
     vec = inst.alpha
     mode = MODES[classify(vec).tag]
     shifted = normalize_last_zero(vec)

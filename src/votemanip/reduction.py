@@ -52,7 +52,11 @@ class NotAWinner(ElectionError):
 
 @dataclass(frozen=True)
 class PartitionInstance:
-    """Positive integers; the question is whether a subset hits half the total."""
+    """Positive integers; the question is whether a subset hits half the total.
+
+    Raises ValueError when built from no entries or from an entry that is
+    not an ``int`` >= 1.
+    """
 
     ks: tuple[int, ...]
 
@@ -60,8 +64,11 @@ class PartitionInstance:
         object.__setattr__(self, "ks", tuple(self.ks))
         if not self.ks:
             raise ValueError("partition instances need at least one integer")
-        if any(k < 1 for k in self.ks):
-            raise ValueError(f"partition integers must be >= 1, got {self.ks}")
+        for i, k in enumerate(self.ks, start=1):
+            if not isinstance(k, int) or k < 1:
+                raise ValueError(
+                    f"partition entries must be integers >= 1, got {k!r} at position {i}"
+                )
 
     @property
     def total(self) -> int:

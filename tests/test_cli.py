@@ -40,6 +40,8 @@ REDUCE_HEADER = (
     "# roles p=1 a=2 b=3\n"
 )
 
+LOSING_WITNESS = "t-vote 1 2 1 3\nt-vote 2 2 1 3\n"
+
 
 class TestParseInstance:
     def test_canonical_text(self):
@@ -98,6 +100,9 @@ class TestParseInstance:
             ("family veto\np 1\n", 1, "name and a candidate count"),
             ("family k-approval:3 2\np 1\n", 1, "3-approval needs at least 3"),
             ("family nanson 3\np 1\n", 1, "unknown family"),
+            ("family copeland:3 3\np 1\n", 1, "unknown family 'copeland:3'"),
+            ("family k-approval:x 3\np 1\n", 1, "k-approval parameter must be an integer"),
+            ("family constant 3\np 1\n", 1, "constant families need an integer value"),
             # the same bad ballot text twice: the first line is reported
             ("alpha 1 0\np 1\ns 1 1 2\ns 1 2 x\ns 1 2 x\n", 4, "integer, got 'x'"),
         ],
@@ -229,7 +234,8 @@ class TestFamilyNames:
         assert parse_family_name("constant:3").value == 3
 
     @pytest.mark.parametrize(
-        "name", ["borda:2", "k-approval", "k-approval:0", "constant", "copeland"]
+        "name",
+        ["borda:2", "k-approval", "k-approval:0", "k-approval:-1", "constant", "copeland"],
     )
     def test_bad_names(self, name):
         with pytest.raises(ParseError):
@@ -474,7 +480,7 @@ class TestExtractCommand:
 
     def test_losing_ballots_exit_one(self, tmp_path, capsys):
         w = tmp_path / "w.txt"
-        w.write_text("t-vote 1 2 1 3\nt-vote 2 2 1 3\n")
+        w.write_text(LOSING_WITNESS)
         code = run_command(
             ["extract-witness", "--alpha", "1 1 0", "--partition", "1 1", "--witness", str(w)]
         )
@@ -521,6 +527,62 @@ class TestDispatcher:
     def test_help_exits_zero(self, capsys):
         assert run_command(["--help"]) == 0
         capsys.readouterr()
+
+    @pytest.mark.parametrize(
+        "command,shared",
+        [
+            ("manipulate", {"--cap"}),
+            ("reduce", {"--alpha", "--partition"}),
+            ("extract-witness", {"--alpha", "--partition"}),
+            ("verify", {"--alpha", "--partition", "--cap"}),
+        ],
+    )
+    def test_shared_options_listed_where_they_apply(self, command, shared, capsys):
+        assert run_command([command, "--help"]) == 0
+        out = capsys.readouterr().out
+        for option in ("--cap", "--alpha", "--partition"):
+            assert (option in out) == (option in shared), option
+
+    @pytest.mark.parametrize(
+        "argv,code,fragment",
+        [
+            # ParseError from the command itself
+            (["evaluate", "{plurality}"], 2, "supply their ballots with --witness"),
+            (["classify", "--family", "copeland:3"], 2, "unknown family 'copeland:3'"),
+            # ElectionError from the library
+            (["reduce", "--alpha", "1 0 0", "--partition", "1 1"], 2, "PluralityLike"),
+            # ValueError from the library
+            (["reduce", "--alpha", "1 1 0", "--partition", ""], 2, "at least one integer"),
+            (["manipulate", "{veto}", "--cap", "-5"], 2, "node_cap must be an integer >= 0"),
+            (
+                ["verify", "--alpha", "1 1 0", "--partition", "1 1", "--cap", "-5"],
+                2,
+                "node_cap must be an integer >= 0, got -5",
+            ),
+            (["evaluate", "/nonexistent/instance.txt"], 2, "/nonexistent/instance.txt"),  # OSError
+            (["manipulate", "{veto}", "--cap", "1"], 3, "leaf evaluations"),  # CapExhausted
+            (  # NotAWinner
+                ["extract-witness", "--alpha", "1 1 0", "--partition", "1 1"]
+                + ["--witness", "{loser}"],
+                1,
+                "does not win",
+            ),
+        ],
+    )
+    def test_every_error_is_one_line_with_its_exit_code(
+        self, argv, code, fragment, tmp_path, capsys
+    ):
+        (tmp_path / "loser.txt").write_text(LOSING_WITNESS)
+        paths = {
+            "plurality": DATA / "plurality_race.txt",
+            "veto": DATA / "veto_partition_1_1.txt",
+            "loser": tmp_path / "loser.txt",
+        }
+        assert run_command([arg.format(**paths) for arg in argv]) == code
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1 and err.count("error:") == 1
+        assert fragment in err
 
     def test_unknown_command_exits_two(self, capsys):
         assert run_command(["tabulate"]) == 2

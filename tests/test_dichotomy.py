@@ -188,11 +188,25 @@ class TestFamilyVectors:
         with pytest.raises(UnsupportedM):
             family_vector(ScoringFamily.plurality(), 0)
 
+    @pytest.mark.parametrize("m", [2.5, 3.0, "3"])
+    def test_non_integer_m_rejected(self, m):
+        for family in (ScoringFamily.plurality(), ScoringFamily.k_approval(2)):
+            with pytest.raises(UnsupportedM, match="must be an integer >= 1"):
+                family_vector(family, m)
+
     def test_bad_kind_rejected(self):
         with pytest.raises(ValueError):
             ScoringFamily("schulze")
         with pytest.raises(ValueError):
             ScoringFamily.k_approval(0)
+
+    @pytest.mark.parametrize("k", [2.5, 3.0, "2"])
+    def test_non_integer_parameters_rejected(self, k):
+        # classify_family would put a 2.5-approval family's cutoff at m = 3.5
+        with pytest.raises(ValueError, match=f"integer block size k >= 1, got {k!r}"):
+            ScoringFamily.k_approval(k)
+        with pytest.raises(ValueError, match=f"integer value, got {k!r}"):
+            ScoringFamily.constant(k)
 
 
 class TestClassifyFamily:

@@ -185,6 +185,14 @@ class TestBruteForce:
         # the witness is leaf 2, so a budget of 2 suffices
         assert brute_force(VETO_11, node_cap=2).decision
 
+    @pytest.mark.parametrize("node_cap", [-1, -5, 1.5, None])
+    def test_budget_not_a_count_rejected(self, node_cap):
+        # a budget counts terminals, so anything else is a usage error, not CapExhausted
+        with pytest.raises(ValueError, match="node_cap must be an integer >= 0"):
+            brute_force(VETO_11, node_cap=node_cap)
+        with pytest.raises(ValueError, match="node_cap must be an integer >= 0"):
+            solve(VETO_11, unique=True, node_cap=node_cap)
+
     def test_cap_equal_to_space_gives_clean_no(self):
         # p can reach 1 against 5 for both rivals: the bound cuts the root,
         # so one terminal decides what the 2-leaf space would

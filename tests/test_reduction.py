@@ -52,6 +52,15 @@ class TestPartitionInstance:
             with pytest.raises(ValueError):
                 PI(ks)
 
+    @pytest.mark.parametrize(
+        "ks,named", [((1.5, 2.5), "1.5 at position 1"), ((1, "2"), "'2' at position 2")]
+    )
+    def test_non_integers_rejected(self, ks, named):
+        # solve_partition would answer a silent "no" for (1.5, 2.5), and
+        # verify_reduction would blame the gadget's generated voters
+        with pytest.raises(ValueError, match=f"integers >= 1, got {named}"):
+            PI(ks)
+
 
 class TestRoleMap:
     def test_candidate_numbers(self):
