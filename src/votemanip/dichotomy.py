@@ -117,7 +117,9 @@ class ScoringFamily:
 
     Raises ValueError for an unknown kind, a k-approval ``k`` that is not
     an ``int`` >= 1, a constant ``value`` that is not an ``int``, and an
-    explicit family without vectors.
+    explicit family without vectors, with a size that is not the ``int``
+    length of its ``ScoringVector``, or with a size given twice.  An
+    explicit table is kept sorted by size.
     """
 
     kind: str
@@ -132,8 +134,20 @@ class ScoringFamily:
             raise ValueError(f"k-approval needs an integer block size k >= 1, got {self.k!r}")
         if self.kind == "constant" and not isinstance(self.value, int):
             raise ValueError(f"constant families need an integer value, got {self.value!r}")
-        if self.kind == "explicit" and not self.table:
-            raise ValueError("explicit families need at least one vector")
+        if self.kind == "explicit":
+            if not self.table:
+                raise ValueError("explicit families need at least one vector")
+            for size, vec in self.table:
+                if not (isinstance(size, int) and isinstance(vec, ScoringVector) and vec.m == size):
+                    raise ValueError(
+                        "explicit families map each candidate count to a scoring vector "
+                        f"of that size, got {size!r} -> {vec!r}"
+                    )
+            table = tuple(sorted(self.table, key=lambda item: item[0]))
+            for (size, _), (next_size, _) in zip(table, table[1:]):
+                if size == next_size:
+                    raise ValueError(f"explicit family defines m={size} twice")
+            object.__setattr__(self, "table", table)
 
     @classmethod
     def plurality(cls) -> "ScoringFamily":
@@ -161,7 +175,7 @@ class ScoringFamily:
 
     @classmethod
     def explicit(cls, vectors: Mapping[int, ScoringVector]) -> "ScoringFamily":
-        return cls("explicit", table=tuple(sorted(vectors.items())))
+        return cls("explicit", table=tuple(vectors.items()))
 
 
 def family_vector(family: ScoringFamily, m: int) -> ScoringVector:

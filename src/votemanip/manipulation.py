@@ -22,6 +22,11 @@ from .dichotomy import RuleClass, classify, normalize_last_zero
 
 DEFAULT_NODE_CAP = 10**7
 
+# Entry cap of the search's failed-state table, which is emptied when full.
+# A Borda m=5 state (level, p's score, four rival scores) takes about 270
+# bytes with its set slot, so a full table holds about 9 MB.
+FAILED_STATE_CAP = 1 << 15
+
 # An answer's mode names its vector's class; hard vectors are "brute-force".
 MODES = {
     RuleClass.ALL_EQUAL: "all-equal",
@@ -44,21 +49,26 @@ class SearchStats:
     monotone bound: one rival already beats p's best reachable score.
     ``capacity`` counts branches cut by the capacity bound: the k
     highest-scoring rivals cannot absorb the points the voters still to
-    vote must give them.  ``terminals`` is their sum, the number
-    ``node_cap`` budgets.  ``rows`` is the number of distinct score rows
-    each coalition voter picks from, and ``deepest`` the most coalition
-    voters that held a ballot at any node the walk reached.
+    vote must give them.  ``pairing`` counts last-voter branches cut
+    because no ballot of that voter makes p win, and ``repeats`` branches
+    cut because the failed-state table already holds their state.
+    ``terminals`` is their sum, the number ``node_cap`` budgets.
+    ``rows`` is the number of distinct score rows each coalition voter
+    picks from, and ``deepest`` the most coalition voters that held a
+    ballot at any node the walk reached.
     """
 
     rows: int
     leaves: int
     monotone: int
     capacity: int
+    pairing: int
+    repeats: int
     deepest: int
 
     @property
     def terminals(self) -> int:
-        return self.leaves + self.monotone + self.capacity
+        return self.leaves + self.monotone + self.capacity + self.pairing + self.repeats
 
 
 class CapExhausted(ElectionError):
@@ -69,7 +79,8 @@ class CapExhausted(ElectionError):
     search would visit: distinct score rows to the power of the
     coalition size.  The message writes it as ``rows^voters``, which
     stays printable however many digits the power has.  ``stats`` holds
-    the terminals spent by cause when the budget ran out, and in
+    the terminals spent by cause when the budget ran out (leaves and
+    monotone, capacity, pairing and repeat cuts), and in
     ``stats.deepest`` how many coalition voters the walk got to assign.
     """
 
@@ -140,7 +151,7 @@ def _search(weights, rows, base, p, unique, node_cap):
     and ``base`` what the fixed voters give, both on a vector shifted so
     its last entry is 0.  Voter i picks ``rows[picks[i]]``; voters are
     assigned left to right and each tries rows in order, so the first
-    winning assignment reached is the lexicographically first one.  Four
+    winning assignment reached is the lexicographically first one.  Six
     cuts keep that witness:
 
     * monotone bound: shifted entries are >= 0, so rivals never lose
@@ -155,10 +166,30 @@ def _search(weights, rows, base, p, unique, node_cap):
       below P (k = 1 is the monotone bound, since L_1 = 0).  Every row
       is a permutation of the shifted vector and k < m, so the k
       smallest entries are the same with p pinned first or not;
+    * last-voter pairing: with one voter of weight w left, moving p to
+      the top of a winning ballot keeps it winning, and among p-first
+      ballots, giving the rivals, highest score first, the m-1 smallest
+      entries in ascending order leaves the highest final rival score as
+      low as it can be (swapping two rivals' entries never lowers it);
+      the branch dies when even that leaves a rival above P, so no row
+      wins;
+    * failed-state table: with voter i free to pick any row (i = 0 or
+      its weight differs from voter i-1's), whether voters i..n-1 can
+      still make p win depends only on i, p's score and the sorted rival
+      scores, because the rows are closed under permuting the rivals.
+      Each such node is recorded once every row under it has failed, and
+      a later node with the same state is cut.  The table holds at most
+      ``FAILED_STATE_CAP`` states and is emptied when full;
     * row dedup: ``rows`` holds each distinct score row once;
     * equal-weight symmetry: voter i picks no earlier row than voter i-1
       when their weights are equal, since swapping their picks changes
       no score and only the nondecreasing order can come first.
+
+    The capacity and pairing tests only matter when some entry below the
+    top is above 0, and the table only when there are several rows; the
+    one-row walk of an easy vector runs none of them.  A free last voter
+    that passes the pairing (or, with a flat tail, the monotone) test
+    always wins, so the table skips the last level.
 
     The depth-first walk is iterative, so coalition size meets no
     recursion limit.  ``node_cap`` bounds terminals, the evaluated leaves
@@ -170,9 +201,10 @@ def _search(weights, rows, base, p, unique, node_cap):
     nrows = len(rows)
     ascending = sorted(rows[0])
     top = ascending[-1]
+    lower = ascending[:-1]  # what the rivals share when p takes the top
     # lows[k-1] = L_k; with a flat tail every L_k is 0 and the monotone
-    # bound implies the capacity bound, so one-row walks skip it
-    lows = list(itertools.accumulate(ascending[:-1]))
+    # bound implies the capacity and pairing tests
+    lows = list(itertools.accumulate(lower))
     capacity_on = bool(lows) and lows[-1] > 0
     slack = [0] * (n + 1)  # the most p can still gain from voters i..n-1: top * R
     for i in range(n - 1, -1, -1):
@@ -186,44 +218,66 @@ def _search(weights, rows, base, p, unique, node_cap):
                 [[w * x for x in row[:p] + row[p + 1:]] for row in rows],
             )
     gains = [by_weight[w] for w in weights]
+    tabled = [
+        nrows > 1 and i < n - 1 and (i == 0 or weights[i] != weights[i - 1]) for i in range(n)
+    ]
+    failed: set[tuple[int, ...]] = set()
+    keys: list[tuple[int, ...] | None] = [None] * n  # the state of each tabled node on the path
     picks = [0] * n
     score_p = [base[p]] + [0] * n
     score_rivals = [base[:p] + base[p + 1:]] + [None] * n
-    terminals = monotone = capacity = deepest = 0
+    # cut terminals by cause: monotone, capacity, pairing, repeats
+    cuts = [0, 0, 0, 0]
+    terminals = deepest = 0
     level = 0
     while True:
         rivals = score_rivals[level]
         best = score_p[level] + slack[level] - strict
-        dead = bool(rivals) and max(rivals) > best
-        full = False
-        if capacity_on and level < n and not dead:
-            # k * P - S_k >= R * L_k, with S_k the sum of the k highest
-            # scores, both sides times top so that top * R is the slack
-            room = slack[level]
-            ranked = itertools.accumulate(sorted(rivals, reverse=True))
-            for k, (taken, low) in enumerate(zip(ranked, lows), 1):
-                if top * (k * best - taken) < room * low:
-                    full = True
-                    break
-        if level < n and not (dead or full):
+        cause = -1
+        if rivals and max(rivals) > best:
+            cause = 0
+        elif level < n and (capacity_on or tabled[level]):
+            ranked = sorted(rivals, reverse=True)
+            if capacity_on:
+                # k * P - S_k >= R * L_k, with S_k the sum of the k highest
+                # scores, both sides times top so that top * R is the slack
+                room = slack[level]
+                for k, (taken, low) in enumerate(zip(itertools.accumulate(ranked), lows), 1):
+                    if top * (k * best - taken) < room * low:
+                        cause = 1
+                        break
+                if cause < 0 and level == n - 1:
+                    w = weights[level]
+                    for score, entry in zip(ranked, lower):
+                        if score + w * entry > best:
+                            cause = 2
+                            break
+            if cause < 0 and tabled[level]:
+                key = (level, score_p[level], *ranked)
+                if key in failed:
+                    cause = 3
+                else:
+                    keys[level] = key
+        if level < n and cause < 0:
             same = level and weights[level] == weights[level - 1]
             pick = picks[level - 1] if same else 0
         else:
             if level > deepest:
                 deepest = level
             if terminals >= node_cap:
-                leaves = terminals - monotone - capacity
-                stats = SearchStats(nrows, leaves, monotone, capacity, deepest)
-                raise CapExhausted(node_cap, n, stats)
+                raise CapExhausted(node_cap, n, _stats(nrows, terminals, cuts, deepest))
             terminals += 1
-            if full:
-                capacity += 1
-            elif level < n:
-                monotone += 1
-            if not (dead or full):
+            if cause < 0:
                 break
+            if level < n:
+                cuts[cause] += 1
             level -= 1
             while level >= 0 and picks[level] == nrows - 1:
+                # every row under this node failed
+                if tabled[level]:
+                    if len(failed) >= FAILED_STATE_CAP:
+                        failed.clear()
+                    failed.add(keys[level])
                 level -= 1
             if level < 0:
                 picks = None
@@ -234,8 +288,11 @@ def _search(weights, rows, base, p, unique, node_cap):
         score_p[level + 1] = score_p[level] + gain_p[pick]
         score_rivals[level + 1] = list(map(add, score_rivals[level], gain_rivals[pick]))
         level += 1
-    leaves = terminals - monotone - capacity
-    return picks, SearchStats(nrows, leaves, monotone, capacity, deepest)
+    return picks, _stats(nrows, terminals, cuts, deepest)
+
+
+def _stats(rows, terminals, cuts, deepest):
+    return SearchStats(rows, terminals - sum(cuts), *cuts, deepest)
 
 
 def brute_force(
@@ -252,7 +309,8 @@ def brute_force(
     first unless ``restrict_p_first`` is off).  Voters are assigned left
     to right and the first satisfying assignment in lexicographic ballot
     order wins, so answers and witnesses are reproducible.  A monotone
-    score bound, a capacity bound on the highest-scoring rivals and an
+    score bound, a capacity bound on the highest-scoring rivals, an exact
+    test of the last voter, a bounded table of failed states and an
     equal-weight symmetry cut prune branches that cannot hold that
     witness (see :func:`_search`).
 

@@ -208,6 +208,24 @@ class TestFamilyVectors:
         with pytest.raises(ValueError, match=f"integer value, got {k!r}"):
             ScoringFamily.constant(k)
 
+    @pytest.mark.parametrize(
+        "vectors",
+        [
+            {3: SV((1, 0))},  # would be handed out as the m=3 vector
+            {"3": SV((1, 0, 0))},  # would never be found for m=3
+            {2: SV((1, 0)), "3": SV((1, 0, 0))},
+            {3.0: SV((1, 0, 0))},
+            {3: (1, 0, 0)},
+        ],
+    )
+    def test_explicit_sizes_checked(self, vectors):
+        with pytest.raises(ValueError, match="explicit famil"):
+            ScoringFamily.explicit(vectors)
+
+    def test_explicit_size_defined_once(self):
+        with pytest.raises(ValueError, match="m=2 twice"):
+            ScoringFamily("explicit", table=((2, SV((1, 0))), (2, SV((2, 0)))))
+
 
 class TestClassifyFamily:
     def test_easy_everywhere(self):

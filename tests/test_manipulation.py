@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+import votemanip.manipulation as manipulation
 from votemanip import (
     CapExhausted,
     InvalidInstance,
@@ -282,6 +283,18 @@ def close_rivals(rng, i, n):
     return replace(i, s_voters=rotations + i.s_voters, t_weights=t_weights)
 
 
+def partition_runs(rng, alpha, n):
+    """The partition gadget over ``alpha`` for n integers 1..9 that come in
+    runs of equal values, so its coalition weights do too."""
+    while classify(alpha).tag is not RuleClass.HARD:
+        alpha = random_nonincreasing(rng, alpha.m, lo=-4, hi=4)
+    ks = [rng.randint(1, 9)]
+    while len(ks) < n:
+        ks.append(ks[-1] if rng.random() < 0.5 else rng.randint(1, 9))
+    ks[-1] += sum(ks) % 2
+    return reduce_partition(alpha, PartitionInstance(tuple(ks))).instance
+
+
 class TestDifferentialOracle:
     """The pruned search against the unpruned product scan in helpers."""
 
@@ -290,12 +303,13 @@ class TestDifferentialOracle:
         big = 2**64
         seen = {True: 0, False: 0}
         close_trials = close_cut = 0
-        for trial in range(1500):
+        runs_trials = runs_pairing = runs_repeats = 0
+        for trial in range(1800):
             restrict = trial % 2 == 0
-            kind = trial // 2 % 5
-            m = rng.randint(3, 5) if kind == 4 else rng.randint(1, 5)
+            kind = trial // 2 % 6
+            m = rng.randint(3, 5) if kind == 4 else rng.randint(3, 4) if kind == 5 else rng.randint(1, 5)
             per_voter = math.factorial(m - 1 if restrict else m)
-            n_max = max(n for n in range(1, 5) if per_voter**n <= 1500)
+            n_max = max(n for n in range(1, 11 if kind == 5 else 5) if per_voter**n <= 1500)
             i = random_instance(
                 rng,
                 random_nonincreasing(rng, m, lo=-4, hi=4),
@@ -315,6 +329,8 @@ class TestDifferentialOracle:
                 )
             elif kind == 4:  # a heavy coalition against several close rivals
                 i = close_rivals(rng, i, n_max)
+            elif kind == 5:  # a partition gadget, its coalition weights in runs
+                i = partition_runs(rng, i.alpha, n_max)
             for unique in (False, True):
                 want = product_oracle(i, unique, restrict)
                 got = brute_force(i, unique, restrict_p_first=restrict)
@@ -323,9 +339,15 @@ class TestDifferentialOracle:
                 if kind == 4:
                     close_trials += 1
                     close_cut += got.stats.capacity > 0
+                elif kind == 5:
+                    runs_trials += 1
+                    runs_pairing += got.stats.pairing > 0
+                    runs_repeats += got.stats.repeats > 0
         assert min(seen.values()) > 400
-        # the capacity bound must be exercised, not only kept out of the way
+        # every bound must be exercised, not only kept out of the way
         assert close_cut >= close_trials // 4
+        assert runs_pairing >= runs_trials // 4
+        assert runs_repeats >= runs_trials // 10
 
     def test_big_weight_reduction_witness(self):
         w = 10**30
@@ -378,6 +400,53 @@ class TestCapacityBound:
     def test_stats_take_no_part_in_equality(self):
         ans = brute_force(VETO_11)
         assert ans == replace(ans, stats=replace(ans.stats, leaves=7))
+
+
+# A Borda m=5 gadget over 10 integers with no equal split: with only the
+# monotone and capacity bounds its search needs more than 500000
+# terminals in either winner mode, with the last-voter test and the
+# failed-state table about 107000
+BORDA_10 = PartitionInstance((182, 45, 18, 119, 191, 63, 173, 128, 56, 115))
+
+
+class TestLastVoterAndFailedStates:
+    def test_reduction_decided_within_budget(self):
+        art = reduce_partition(SV((4, 3, 2, 1, 0)), BORDA_10)
+        assert solve_partition(BORDA_10) is None
+        for unique in (False, True):
+            ans = brute_force(art.instance, unique, node_cap=500000)
+            assert not ans.decision
+            assert ans.stats.pairing > 0 and ans.stats.repeats > 0
+            assert ans.stats.terminals < 200000
+
+    @pytest.mark.parametrize("cap", [1, 2])
+    def test_table_cleared_when_full(self, monkeypatch, cap):
+        # a table of one or two states is emptied on nearly every record;
+        # hits must still come only from states that failed
+        monkeypatch.setattr(manipulation, "FAILED_STATE_CAP", cap)
+        rng = random.Random(cap)
+        hits = 0
+        for trial in range(120):
+            restrict = trial % 2 == 0
+            m = rng.randint(3, 4)
+            per_voter = math.factorial(m - 1 if restrict else m)
+            n = max(n for n in range(1, 11) if per_voter**n <= 1500)
+            i = partition_runs(rng, random_nonincreasing(rng, m, lo=-4, hi=4), n)
+            for unique in (False, True):
+                got = brute_force(i, unique, restrict_p_first=restrict)
+                assert (got.decision, got.witness) == product_oracle(i, unique, restrict)
+                hits += got.stats.repeats > 0
+        assert hits > 0
+
+    def test_hits_count_against_the_budget(self):
+        rng = random.Random(3)
+        i = partition_runs(rng, SV((2, 1, 0)), 10)
+        while not brute_force(i).stats.repeats:
+            i = partition_runs(rng, SV((2, 1, 0)), 10)
+        spent = brute_force(i).stats.terminals
+        assert brute_force(i, node_cap=spent) == brute_force(i)
+        with pytest.raises(CapExhausted):
+            brute_force(i, node_cap=spent - 1)
 
 
 class TestSolve:
