@@ -135,6 +135,13 @@ def parse_family_name(name: str, lineno: int | None = None) -> ScoringFamily:
 def parse_instance(text: str) -> ManipulationInstance:
     """Parse instance text, resolving families; the instance checks itself.
 
+    One pass over the lines does the work per voter once.  A comment is
+    cut only from a line holding ``#``, and ``s`` lines, nearly all the
+    lines of a large file, are tested for first and split only as far as
+    the weight; the rest of the line, spacing included, is the ballot
+    text.  Orders are shared per ballot text, so a repeated ballot is
+    split and converted once and its voters hold the same order tuple.
+
     Problems are reported as a ParseError carrying the line.  A bad
     ``alpha`` or ``family`` line is reported when it is parsed; of the
     issues the instance raises when it is built (see
@@ -144,11 +151,39 @@ def parse_instance(text: str) -> ManipulationInstance:
     alpha: ScoringVector | None = None
     p_val: int | None = None
     p_line: int | None = None
-    s_rows: list[tuple[int, int, Order]] = []
-    orders: dict[tuple[str, ...], Order] = {}  # ballot tokens -> parsed order
+    s_lines: list[int] = []
+    s_weights: list[int] = []
+    s_orders: list[Order] = []
+    orders: dict[str, Order] = {}  # ballot text -> parsed order
     t_rows: list[tuple[int, int]] = []
-    for lineno, tokens in _lines(text):
-        keyword = tokens[0]
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        if "#" in line:
+            line = line.split("#", 1)[0]
+        parts = line.split(None, 2)
+        if not parts:
+            continue
+        keyword = parts[0]
+        if keyword == "s":
+            if len(parts) < 3:
+                raise ParseError(lineno, "s needs a weight and a full ballot")
+            try:
+                weight = int(parts[1])
+            except ValueError:
+                weight = _int(parts[1], lineno, "voter weight")  # raises, naming the problem
+            ballot = parts[2]
+            order = orders.get(ballot)
+            if order is None:
+                tokens = ballot.split()
+                try:
+                    order = tuple(map(int, tokens))
+                except ValueError:  # _int names the first bad token and raises
+                    order = tuple(_int(t, lineno, "ballot candidate") for t in tokens)
+                orders[ballot] = order
+            s_lines.append(lineno)
+            s_weights.append(weight)
+            s_orders.append(order)
+            continue
+        tokens = line.split()
         if keyword in ("alpha", "family"):
             if alpha is not None:
                 raise ParseError(lineno, "duplicate scoring-rule directive")
@@ -172,19 +207,6 @@ def parse_instance(text: str) -> ManipulationInstance:
                 raise ParseError(lineno, "p needs exactly one candidate index")
             p_val = _int(tokens[1], lineno, "preferred candidate")
             p_line = lineno
-        elif keyword == "s":
-            if len(tokens) < 3:
-                raise ParseError(lineno, "s needs a weight and a full ballot")
-            weight = _int(tokens[1], lineno, "voter weight")
-            ballot = tuple(tokens[2:])
-            order = orders.get(ballot)
-            if order is None:
-                try:
-                    order = tuple(map(int, ballot))
-                except ValueError:  # _int names the first bad token and raises
-                    order = tuple(_int(t, lineno, "ballot candidate") for t in ballot)
-                orders[ballot] = order
-            s_rows.append((lineno, weight, order))
         elif keyword == "t":
             if len(tokens) != 2:
                 raise ParseError(lineno, "t needs exactly one weight")
@@ -198,7 +220,7 @@ def parse_instance(text: str) -> ManipulationInstance:
     try:
         return ManipulationInstance(
             alpha,
-            tuple(WeightedVote(w, o) for _, w, o in s_rows),
+            tuple(map(WeightedVote, s_weights, s_orders)),
             tuple(w for _, w in t_rows),
             p_val,
         )
@@ -206,9 +228,8 @@ def parse_instance(text: str) -> ManipulationInstance:
         def issue_line(where: str) -> int:
             if where == "p":
                 return p_line or 0
-            kind, index = where[0], int(where[2:-1])
-            rows = s_rows if kind == "s" else t_rows
-            return rows[index - 1][0]
+            index = int(where[2:-1]) - 1
+            return s_lines[index] if where[0] == "s" else t_rows[index][0]
 
         first = min(exc.issues, key=lambda issue: issue_line(issue.where))
         raise ParseError(issue_line(first.where), f"{first.code}: {first.message}") from None

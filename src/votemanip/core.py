@@ -81,13 +81,18 @@ class ScoringVector:
 
 @dataclass(frozen=True)
 class WeightedVote:
-    """One ballot cast with an integer weight >= 1."""
+    """One ballot cast with an integer weight >= 1.
+
+    ``order`` is kept as given when it is a tuple and converted to one
+    otherwise (a list or a tuple subclass included).
+    """
 
     weight: int
     order: Order
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "order", tuple(self.order))
+        if type(self.order) is not tuple:
+            object.__setattr__(self, "order", tuple(self.order))
 
 
 @dataclass(frozen=True)
@@ -225,15 +230,23 @@ def require_valid(inst: ManipulationInstance) -> None:
                 "CandidateOutOfRange", "p", f"preferred candidate {inst.p!r} outside 1..{m}"
             )
         )
-    bad = set(_non_permutations([vote.order for vote in inst.s_voters], m))
-    for i, vote in enumerate(inst.s_voters, start=1):
+    voters = inst.s_voters
+    bad = set(_non_permutations([vote.order for vote in voters], m))
+    # one pass finds the voters with a bad weight or ballot; only those get issues
+    flagged = [
+        i
+        for i, vote in enumerate(voters)
+        if not (isinstance(w := vote.weight, int) and w >= 1) or i in bad
+    ]
+    for i in flagged:
+        vote = voters[i]
         if not _is_weight(vote.weight):
-            issues.append(_weight_issue(f"s[{i}]", vote.weight))
-        if i - 1 in bad:
+            issues.append(_weight_issue(f"s[{i + 1}]", vote.weight))
+        if i in bad:
             issues.append(
                 ValidationIssue(
                     "NonPermutationOrder",
-                    f"s[{i}]",
+                    f"s[{i + 1}]",
                     f"ballot {vote.order} is not a permutation of 1..{m}",
                 )
             )

@@ -118,8 +118,11 @@ class ScoringFamily:
     Raises ValueError for an unknown kind, a k-approval ``k`` that is not
     an ``int`` >= 1, a constant ``value`` that is not an ``int``, and an
     explicit family without vectors, with a size that is not the ``int``
-    length of its ``ScoringVector``, or with a size given twice.  An
-    explicit table is kept sorted by size.
+    length of its ``ScoringVector``, or with a size given twice.  Each
+    parameter belongs to one kind (``k`` to k-approval, ``value`` to
+    constant, ``table`` to explicit), and setting it on another kind is a
+    ValueError too, since that kind would ignore it.  An explicit table is
+    kept sorted by size.
     """
 
     kind: str
@@ -130,6 +133,9 @@ class ScoringFamily:
     def __post_init__(self) -> None:
         if self.kind not in _KINDS:
             raise ValueError(f"unknown family kind {self.kind!r}")
+        for param, owner in (("k", "k-approval"), ("value", "constant"), ("table", "explicit")):
+            if getattr(self, param) is not None and self.kind != owner:
+                raise ValueError(f"{self.kind} families take no {param}; only {owner} does")
         if self.kind == "k-approval" and not (isinstance(self.k, int) and self.k >= 1):
             raise ValueError(f"k-approval needs an integer block size k >= 1, got {self.k!r}")
         if self.kind == "constant" and not isinstance(self.value, int):

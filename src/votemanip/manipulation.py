@@ -14,6 +14,7 @@ re-evaluated before being returned.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from operator import add
 
@@ -137,6 +138,20 @@ def _row_ballots(entries: tuple[int, ...], m: int, p: int | None) -> list[Order]
     return ballots
 
 
+def _row_count(entries: tuple[int, ...], pinned: bool) -> int:
+    """How many ballots :func:`_row_ballots` gives, without building them.
+
+    It is the multinomial count of the entries below a pinned top, or of
+    all entries: their count factorial over the factorial of each run's
+    length.
+    """
+    free = entries[1:] if pinned else entries
+    count = math.factorial(len(free))
+    for _, run in itertools.groupby(free):
+        count //= math.factorial(len(tuple(run)))
+    return count
+
+
 def _ballot_row(ballot: Order, entries: tuple[int, ...]) -> list[int]:
     row = [0] * len(ballot)
     for position, candidate in enumerate(ballot):
@@ -144,15 +159,20 @@ def _ballot_row(ballot: Order, entries: tuple[int, ...]) -> list[int]:
     return row
 
 
-def _search(weights, rows, base, p, unique, node_cap):
-    """First winning pick of one score row per coalition voter, and stats.
+def _search(weights, entries, base, p, pinned, unique, node_cap):
+    """First winning ballot per coalition voter (None if none), and stats.
 
-    ``rows[j][c]`` is what row j gives candidate c (0-based) at weight 1
-    and ``base`` what the fixed voters give, both on a vector shifted so
-    its last entry is 0.  Voter i picks ``rows[picks[i]]``; voters are
-    assigned left to right and each tries rows in order, so the first
-    winning assignment reached is the lexicographically first one.  Six
-    cuts keep that witness:
+    ``entries`` is the scoring vector shifted so its last entry is 0, and
+    ``base[c]`` what the fixed voters give candidate c (0-based) on it.
+    Each coalition voter picks one distinct score row, cast by its
+    lexicographically first ballot (see :func:`_row_ballots`; p, 0-based,
+    is pinned first when ``pinned``).  Voters are assigned left to right
+    and each tries rows in order, so the first winning assignment reached
+    is the lexicographically first one.  The rows are built only once the
+    root passes its tests: every row is a permutation of ``entries``, so
+    the bounds need only their sorted values and the row count, and a
+    root cut leaves the search without building any.  Six cuts keep the
+    witness:
 
     * monotone bound: shifted entries are >= 0, so rivals never lose
       points and p gains at most ``top`` times the weight R still to
@@ -180,7 +200,7 @@ def _search(weights, rows, base, p, unique, node_cap):
       Each such node is recorded once every row under it has failed, and
       a later node with the same state is cut.  The table holds at most
       ``FAILED_STATE_CAP`` states and is emptied when full;
-    * row dedup: ``rows`` holds each distinct score row once;
+    * row dedup: each distinct score row is tried once;
     * equal-weight symmetry: voter i picks no earlier row than voter i-1
       when their weights are equal, since swapping their picks changes
       no score and only the nondecreasing order can come first.
@@ -198,8 +218,10 @@ def _search(weights, rows, base, p, unique, node_cap):
     budget would be needed, so an answer returned is always exact.
     """
     n = len(weights)
-    nrows = len(rows)
-    ascending = sorted(rows[0])
+    nrows = 0  # set when the rows are built; _row_count gives it for stats before that
+    free = entries[1:] if pinned else entries
+    several = bool(free) and free[0] != free[-1]  # more than one row, as entries descend
+    ascending = sorted(entries)
     top = ascending[-1]
     lower = ascending[:-1]  # what the rivals share when p takes the top
     # lows[k-1] = L_k; with a flat tail every L_k is 0 and the monotone
@@ -210,16 +232,9 @@ def _search(weights, rows, base, p, unique, node_cap):
     for i in range(n - 1, -1, -1):
         slack[i] = slack[i + 1] + weights[i] * top
     strict = 1 if unique else 0
-    by_weight: dict[int, tuple[list[int], list[list[int]]]] = {}
-    for w in weights:
-        if w not in by_weight:
-            by_weight[w] = (
-                [w * row[p] for row in rows],
-                [[w * x for x in row[:p] + row[p + 1:]] for row in rows],
-            )
-    gains = [by_weight[w] for w in weights]
+    ballots = gains = None  # built when the root passes its tests
     tabled = [
-        nrows > 1 and i < n - 1 and (i == 0 or weights[i] != weights[i - 1]) for i in range(n)
+        several and i < n - 1 and (i == 0 or weights[i] != weights[i - 1]) for i in range(n)
     ]
     failed: set[tuple[int, ...]] = set()
     keys: list[tuple[int, ...] | None] = [None] * n  # the state of each tabled node on the path
@@ -259,13 +274,19 @@ def _search(weights, rows, base, p, unique, node_cap):
                 else:
                     keys[level] = key
         if level < n and cause < 0:
-            same = level and weights[level] == weights[level - 1]
-            pick = picks[level - 1] if same else 0
+            if level:
+                pick = picks[level - 1] if weights[level] == weights[level - 1] else 0
+            else:
+                ballots = _row_ballots(entries, len(entries), p + 1 if pinned else None)
+                nrows = len(ballots)
+                gains = _gains(weights, [_ballot_row(b, entries) for b in ballots], p)
+                pick = 0
         else:
             if level > deepest:
                 deepest = level
             if terminals >= node_cap:
-                raise CapExhausted(node_cap, n, _stats(nrows, terminals, cuts, deepest))
+                rows = nrows or _row_count(entries, pinned)
+                raise CapExhausted(node_cap, n, _stats(rows, terminals, cuts, deepest))
             terminals += 1
             if cause < 0:
                 break
@@ -288,7 +309,23 @@ def _search(weights, rows, base, p, unique, node_cap):
         score_p[level + 1] = score_p[level] + gain_p[pick]
         score_rivals[level + 1] = list(map(add, score_rivals[level], gain_rivals[pick]))
         level += 1
-    return picks, _stats(nrows, terminals, cuts, deepest)
+    stats = _stats(nrows or _row_count(entries, pinned), terminals, cuts, deepest)
+    if picks is None:
+        return None, stats
+    # with no coalition voters the root is a leaf and no ballot was built
+    return tuple(ballots[i] for i in picks), stats
+
+
+def _gains(weights, rows, p):
+    """Per voter, what each row gives p and the rivals at that voter's weight."""
+    by_weight: dict[int, tuple[list[int], list[list[int]]]] = {}
+    for w in weights:
+        if w not in by_weight:
+            by_weight[w] = (
+                [w * row[p] for row in rows],
+                [[w * x for x in row[:p] + row[p + 1:]] for row in rows],
+            )
+    return [by_weight[w] for w in weights]
 
 
 def _stats(rows, terminals, cuts, deepest):
@@ -312,7 +349,8 @@ def brute_force(
     score bound, a capacity bound on the highest-scoring rivals, an exact
     test of the last voter, a bounded table of failed states and an
     equal-weight symmetry cut prune branches that cannot hold that
-    witness (see :func:`_search`).
+    witness (see :func:`_search`).  The rows are built only when the
+    bounds leave the empty assignment standing.
 
     ``node_cap`` budgets search-tree terminals: evaluated leaves plus cut
     branches.  It must be an integer >= 0, else ValueError is raised.
@@ -328,12 +366,11 @@ def brute_force(
     shifted = normalize_last_zero(vec)
     base_table = tally(inst.s_voters, shifted)
     base = [base_table[c] for c in range(1, vec.m + 1)]
-    ballots = _row_ballots(vec.entries, vec.m, inst.p if restrict_p_first else None)
-    rows = [_ballot_row(b, shifted.entries) for b in ballots]
-    picks, stats = _search(list(inst.t_weights), rows, base, inst.p - 1, unique, node_cap)
-    if picks is None:
+    witness, stats = _search(
+        list(inst.t_weights), shifted.entries, base, inst.p - 1, restrict_p_first, unique, node_cap
+    )
+    if witness is None:
         return ManipulationAnswer(False, None, mode, stats)
-    witness = tuple(ballots[i] for i in picks)
     # Soundness check on every yes: the witness must actually make p win.
     table = tally(inst.profile(witness), vec)
     won = unique_winner(table) == inst.p if unique else inst.p in winners(table)

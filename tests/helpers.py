@@ -6,7 +6,16 @@ Everything here is deterministic given a seed so failures reproduce.
 import itertools
 import random
 
-from votemanip import ManipulationInstance, ScoringVector, WeightedVote, tally
+from votemanip import (
+    InvalidInstance,
+    ManipulationInstance,
+    ScoringVector,
+    UnsupportedM,
+    WeightedVote,
+    family_vector,
+    tally,
+)
+from votemanip.cli import ParseError, _int, _lines, _vector, parse_family_name
 
 
 def random_order(rng, m):
@@ -178,3 +187,83 @@ def product_oracle(inst, unique=False, restrict_p_first=True):
     if picks is None:
         return False, None
     return True, tuple(ballots[i] for i in picks)
+
+
+def reference_parse_instance(text):
+    """Reference instance parser: tokenize every line, then build the voters.
+
+    The straightforward parser the one-pass ``cli.parse_instance`` replaced,
+    kept as an oracle: both must give equal instances, or ParseErrors with
+    the same line and message.
+    """
+    alpha = None
+    p_val = None
+    p_line = None
+    s_rows = []
+    orders = {}  # ballot tokens -> parsed order
+    t_rows = []
+    for lineno, tokens in _lines(text):
+        keyword = tokens[0]
+        if keyword in ("alpha", "family"):
+            if alpha is not None:
+                raise ParseError(lineno, "duplicate scoring-rule directive")
+            if keyword == "alpha":
+                if len(tokens) < 2:
+                    raise ParseError(lineno, "alpha needs at least one entry")
+                alpha = _vector(tokens[1:], lineno, "alpha entry")
+            else:
+                if len(tokens) != 3:
+                    raise ParseError(lineno, "family needs a name and a candidate count")
+                fam = parse_family_name(tokens[1], lineno)
+                m = _int(tokens[2], lineno, "candidate count")
+                try:
+                    alpha = family_vector(fam, m)
+                except UnsupportedM as exc:
+                    raise ParseError(lineno, str(exc)) from None
+        elif keyword == "p":
+            if p_val is not None:
+                raise ParseError(lineno, "duplicate p directive")
+            if len(tokens) != 2:
+                raise ParseError(lineno, "p needs exactly one candidate index")
+            p_val = _int(tokens[1], lineno, "preferred candidate")
+            p_line = lineno
+        elif keyword == "s":
+            if len(tokens) < 3:
+                raise ParseError(lineno, "s needs a weight and a full ballot")
+            weight = _int(tokens[1], lineno, "voter weight")
+            ballot = tuple(tokens[2:])
+            order = orders.get(ballot)
+            if order is None:
+                try:
+                    order = tuple(map(int, ballot))
+                except ValueError:  # _int names the first bad token and raises
+                    order = tuple(_int(t, lineno, "ballot candidate") for t in ballot)
+                orders[ballot] = order
+            s_rows.append((lineno, weight, order))
+        elif keyword == "t":
+            if len(tokens) != 2:
+                raise ParseError(lineno, "t needs exactly one weight")
+            t_rows.append((lineno, _int(tokens[1], lineno, "coalition weight")))
+        else:
+            raise ParseError(lineno, f"unknown directive {keyword!r}")
+    if alpha is None:
+        raise ParseError(None, "missing alpha or family directive")
+    if p_val is None:
+        raise ParseError(None, "missing p directive")
+    try:
+        return ManipulationInstance(
+            alpha,
+            tuple(WeightedVote(w, o) for _, w, o in s_rows),
+            tuple(w for _, w in t_rows),
+            p_val,
+        )
+    except InvalidInstance as exc:
+        def issue_line(where):
+            if where == "p":
+                return p_line or 0
+            kind, index = where[0], int(where[2:-1])
+            rows = s_rows if kind == "s" else t_rows
+            return rows[index - 1][0]
+
+        first = min(exc.issues, key=lambda issue: issue_line(issue.where))
+        raise ParseError(issue_line(first.where), f"{first.code}: {first.message}") from None

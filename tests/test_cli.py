@@ -3,6 +3,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from votemanip import (
     InvalidInstance,
@@ -22,6 +24,8 @@ from votemanip.cli import (
     serialize_instance,
     serialize_witness,
 )
+
+from helpers import reference_parse_instance
 
 DATA = Path(__file__).parent / "data"
 
@@ -137,6 +141,133 @@ class TestParseInstance:
         V = WeightedVote
         assert inst.s_voters == (V(1, (2, 1)), V(5, (1, 2)), V(7, (2, 1)))
         assert inst.s_voters[0].order is inst.s_voters[2].order
+        # orders are shared per ballot text, the rest of the line after the
+        # weight: other spacing, even trailing, gives an equal order
+        text = "alpha 1 0\np 1\ns 1 2 1\ns 22 2 1# c\ns\t3  2 1\ns 4 2  1\ns 5 2 1 \n"
+        orders = [v.order for v in parse_instance(text).s_voters]
+        assert orders == [(2, 1)] * 5
+        assert orders[0] is orders[1] is orders[2]
+
+
+LIMIT = sys.get_int_max_str_digits()
+BAD_TOKENS = ("x", "1.5", "--1", "+-2", "٣x", "0x1", "½", "1e3", "s")
+
+
+def integer_token(rng, lo, hi, clean=False):
+    """An integer token, mostly in lo..hi; unless clean, sometimes malformed."""
+    kind = rng.randrange(15 if clean else 20)
+    if kind <= 11:
+        return str(rng.randint(lo, hi))
+    if kind == 12:
+        return rng.choice("+-") + str(rng.randint(0, hi))
+    if kind == 13:  # int() reads any Unicode decimal digit, such as Arabic-Indic ٣
+        return "".join(chr(0x0660 + int(d)) for d in str(rng.randint(0, hi)))
+    if kind == 14:
+        return str(rng.randint(2**64, 2**70))
+    if kind == 15:  # longer than int() may convert
+        return rng.choice(("", "+", "-")) + "7" * (LIMIT + rng.randint(1, 3))
+    if kind == 16:
+        return f"{rng.randint(1, 9)}_{rng.randint(0, 9)}"
+    return rng.choice(BAD_TOKENS)
+
+
+def instance_text(rng):
+    """Instance text with every kind of oddity.
+
+    Half the texts are clean: every token is an integer and every line
+    well formed, so most of them parse or fail only validation.
+    """
+    clean = rng.randrange(2) == 0
+    m = rng.randint(1, 4)
+
+    def token(lo, hi):
+        return integer_token(rng, lo, hi, clean)
+
+    def join(tokens):
+        gaps = (" ", " ", "  ", "\t", " \t", "\x1f", "\u3000")
+        return "".join(t + rng.choice(gaps) for t in tokens[:-1]) + tokens[-1]
+
+    def ballot():
+        tokens = [str(c) for c in rng.sample(range(1, m + 1), m)]
+        if rng.randrange(5) == 0:  # a bad, missing or extra candidate
+            i = rng.randint(0, m)
+            bad = str(rng.randint(0, m + 1)) if clean or rng.randrange(2) else token(0, m + 1)
+            tokens[i:i + rng.randint(0, 1)] = [bad]
+        return tokens or ["1"]
+
+    pool = [ballot() for _ in range(rng.randint(1, 3))]  # ballots repeat
+    entries = sorted((rng.randint(-2, 4) for _ in range(m)), reverse=True)
+    family = rng.choice(("veto", "borda", "k-approval:2", "constant:1", "nanson", "k-approval:x"))
+    header = [
+        ["alpha", *map(str, entries)],
+        ["alpha", *(token(-2, 4) for _ in range(m))],
+        ["family", family, token(1, 4)],
+        ["p", str(rng.randint(1, m)) if rng.randrange(4) else token(0, m + 1)],
+    ]
+    lines = [header[rng.choice((0, 0, 0, 1, 2))], header[3]]
+    for _ in range(rng.randint(0, 8)):
+        kind = rng.randrange(20)
+        if kind <= 10:
+            lines.append(["s", token(-1, 5), *rng.choice(pool)])
+        elif kind <= 13:
+            lines.append(["t", token(-1, 5)])
+        elif kind == 14 and not clean:
+            lines.append(rng.choice(header))  # a duplicate directive
+        elif kind == 15 and not clean:
+            lines.append(rng.choice((["s", "1"], ["t"], ["t", "1", "2"], ["p"], ["q", "1"])))
+        else:
+            lines.append([])
+    rng.shuffle(lines)
+    if not clean and rng.randrange(10) == 0:
+        lines.pop()  # perhaps a missing directive
+    text = []
+    for tokens in lines:
+        line = rng.choice(("", " ", "\t")) + (join(tokens) if tokens else "")
+        line += rng.choice(("", "", " ", "\t "))
+        if rng.randrange(8) == 0:  # a comment, possibly inside a ballot
+            cut = rng.randint(0, len(line)) if not clean else len(line)
+            line = line[:cut] + "#" + rng.choice(("", " s 1 2", "#", "alpha"))
+        text.append(line + rng.choice(("\n", "\n", "\r\n", "\x0b", "\x1c")))
+    return "".join(text)
+
+
+VALIDATION_CODES = ("NonPositiveWeight", "NonPermutationOrder", "CandidateOutOfRange", "NonMonotoneAlpha")
+
+
+def parse_outcome(parse, text):
+    """The instance, or the error's type, line and message."""
+    try:
+        return parse(text)
+    except Exception as exc:  # both parsers must fail the same way, whatever the error
+        return (type(exc).__name__, getattr(exc, "line", None), str(exc))
+
+
+class TestParseInstanceDifferential:
+    """The one-pass parser against the tokenize-every-line reference."""
+
+    def test_matches_reference(self):
+        seen = {}
+
+        @given(st.randoms(use_true_random=True))
+        @settings(max_examples=400, deadline=None, derandomize=True)
+        def check(rng):
+            text = instance_text(rng)
+            got = parse_outcome(parse_instance, text)
+            assert got == parse_outcome(reference_parse_instance, text)
+            if isinstance(got, ManipulationInstance):
+                kind = "instance"
+            elif "digits, more than" in got[2]:
+                kind = "too long"
+            else:
+                kind = next((code for code in VALIDATION_CODES if code in got[2]), got[0])
+            seen[kind] = seen.get(kind, 0) + 1
+
+        check()
+        # the texts reach valid instances and every kind of error
+        assert seen["instance"] >= 40, seen
+        for kind in VALIDATION_CODES + ("too long",):
+            assert seen.get(kind, 0) >= 8, (kind, seen)
+        assert seen["ParseError"] >= 80, seen
 
 
 class TestSerializeInstance:

@@ -1,3 +1,4 @@
+import random
 from dataclasses import replace
 
 import pytest
@@ -270,6 +271,34 @@ class TestValidation:
             "NonPermutationOrder",
             "NonPositiveWeight",
         ]
+
+    @pytest.mark.parametrize("unhashable", [False, True])
+    def test_many_voters_with_mixed_problems_keep_issue_order(self, unhashable):
+        # p first, then per fixed voter its weight issue before its ballot
+        # issue, in voter order, then the coalition weights
+        rng = random.Random(12)
+        weights = ((1, 7, 2**70, True), (0, -3, 2.5, None))  # good, then bad
+        orders = (((1, 2, 3), (3, 1, 2)), ((1, 1, 2), (1, 2), (0, 1, 2), (1, 2, 3, 4), (1, None, 3)))
+        voters = [
+            V(rng.choice(weights[rng.randrange(2)]), rng.choice(orders[rng.randrange(2)]))
+            for _ in range(400)
+        ]
+        if unhashable:  # the permutation check then takes each ballot in turn
+            voters[rng.randrange(400)] = V(1, ([1], [2], [3]))
+        want = [("CandidateOutOfRange", "p", "preferred candidate 4 outside 1..3")]
+        for i, vote in enumerate(voters, start=1):
+            if not (isinstance(vote.weight, int) and vote.weight >= 1):
+                message = f"weight {vote.weight!r} must be an integer >= 1"
+                want.append(("NonPositiveWeight", f"s[{i}]", message))
+            if not is_permutation(vote.order, 3):
+                message = f"ballot {vote.order} is not a permutation of 1..3"
+                want.append(("NonPermutationOrder", f"s[{i}]", message))
+        want.append(("NonPositiveWeight", "t[2]", "weight 0 must be an integer >= 1"))
+        issues = self.issues(ScoringVector((2, 1, 0)), voters, (1, 0), 4)
+        assert [(i.code, i.where, i.message) for i in issues] == want
+        # a quarter of the voters have no problem, a quarter both
+        both = [k for k in range(1, len(want)) if want[k - 1][1] == want[k][1]]
+        assert 300 < len(want) < 500 and 50 < len(both) < 150
 
     def test_require_valid_raises_with_issues(self):
         with pytest.raises(InvalidInstance) as err:

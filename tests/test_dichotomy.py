@@ -226,6 +226,26 @@ class TestFamilyVectors:
         with pytest.raises(ValueError, match="m=2 twice"):
             ScoringFamily("explicit", table=((2, SV((1, 0))), (2, SV((2, 0)))))
 
+    @pytest.mark.parametrize(
+        "kind,params",
+        [
+            # same vectors as ScoringFamily.plurality(), yet unequal to it
+            ("plurality", {"k": 3}),
+            # would silently give Borda's (3, 2, 1) at m=3
+            ("borda", {"table": ((3, SV((1, 0, 0))),)}),
+            ("veto", {"value": 0}),
+            ("half-approval", {"k": 2}),
+            ("k-approval", {"k": 2, "value": 1}),
+            ("k-approval", {"k": 2, "table": ((2, SV((1, 0))),)}),
+            ("constant", {"value": 1, "k": 1}),
+            ("explicit", {"table": ((2, SV((1, 0))),), "value": 1}),
+            ("plurality", {"table": ()}),
+        ],
+    )
+    def test_parameters_of_other_kinds_rejected(self, kind, params):
+        with pytest.raises(ValueError, match=f"{kind} families take no"):
+            ScoringFamily(kind, **params)
+
 
 class TestClassifyFamily:
     def test_easy_everywhere(self):

@@ -13,6 +13,7 @@ from votemanip import (
     RuleClass,
     ScoringFamily,
     ScoringVector,
+    SearchStats,
     WeightedVote,
     WrongClass,
     brute_force,
@@ -447,6 +448,40 @@ class TestLastVoterAndFailedStates:
         assert brute_force(i, node_cap=spent) == brute_force(i)
         with pytest.raises(CapExhausted):
             brute_force(i, node_cap=spent - 1)
+
+
+class TestRootCut:
+    """A root the bounds already cut is answered without building a row."""
+
+    def test_cut_root_builds_no_rows(self, monkeypatch):
+        # one weight-1 coalition voter against a weight-1000 fixed voter
+        # under Borda m=10: p reaches 9 at most, a rival already holds 9000
+        m = 10
+        i = inst(tuple(range(m, 0, -1)), [(1000, tuple(range(2, m + 1)) + (1,))], (1,))
+
+        def refuse(*args):
+            raise AssertionError("score rows built for a root the bounds cut")
+
+        monkeypatch.setattr(manipulation, "_row_ballots", refuse)
+        for restrict, rows in ((True, math.factorial(m - 1)), (False, math.factorial(m))):
+            for unique in (False, True):
+                ans = brute_force(i, unique, restrict_p_first=restrict)
+                assert (ans.decision, ans.witness) == (False, None)
+                assert ans.stats == SearchStats(rows, 0, 1, 0, 0, 0, 0)
+        # the root is tested and counted once: a budget of one terminal suffices
+        assert brute_force(i, node_cap=1).stats.terminals == 1
+        with pytest.raises(CapExhausted) as err:
+            brute_force(i, node_cap=0)
+        assert err.value.stats == SearchStats(math.factorial(m - 1), 0, 0, 0, 0, 0, 0)
+
+    def test_row_count_without_building(self):
+        rng = random.Random(10)
+        for _ in range(150):
+            m = rng.randint(1, 7)
+            entries = random_nonincreasing(rng, m, lo=0, hi=3).entries
+            assert manipulation._row_count(entries, False) == len(_row_ballots(entries, m, None))
+            for p in range(1, m + 1):
+                assert manipulation._row_count(entries, True) == len(_row_ballots(entries, m, p))
 
 
 class TestSolve:
