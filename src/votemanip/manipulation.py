@@ -9,6 +9,15 @@ several rows and the search prunes.  Instances checked themselves when
 they were built, so the solvers do no validation of their own.  Every
 "yes" answer carries a witness (one ballot per coalition voter) and is
 re-evaluated before being returned.
+
+A search is prepared once per instance and ``restrict_p_first`` setting,
+then walked once per question.  The walks share the vector's class, the
+shifted vector, the fixed voters' scores, the bound tables and, once one
+walk's root survives the bounds, the score rows and their weighted gains.
+Each walk keeps its own budget, failed-state table, picks and stats, and
+re-tallies its own "yes".  :func:`brute_force` prepares and walks once;
+``reduction.verify_reduction`` walks one preparation for both winner
+modes.
 """
 
 from __future__ import annotations
@@ -159,161 +168,214 @@ def _ballot_row(ballot: Order, entries: tuple[int, ...]) -> list[int]:
     return row
 
 
-def _search(weights, entries, base, p, pinned, unique, node_cap):
-    """First winning ballot per coalition voter (None if none), and stats.
+class _PreparedSearch:
+    """One instance made ready for search, answered in either winner mode.
 
-    ``entries`` is the scoring vector shifted so its last entry is 0, and
-    ``base[c]`` what the fixed voters give candidate c (0-based) on it.
-    Each coalition voter picks one distinct score row, cast by its
-    lexicographically first ballot (see :func:`_row_ballots`; p, 0-based,
-    is pinned first when ``pinned``).  Voters are assigned left to right
-    and each tries rows in order, so the first winning assignment reached
-    is the lexicographically first one.  The rows are built only once the
-    root passes its tests: every row is a permutation of ``entries``, so
-    the bounds need only their sorted values and the row count, and a
-    root cut leaves the search without building any.  Six cuts keep the
-    witness:
-
-    * monotone bound: shifted entries are >= 0, so rivals never lose
-      points and p gains at most ``top`` times the weight R still to
-      vote, reaching at most P (less 1 when ``unique``); a branch dies
-      once a rival beats P, and a leaf is a win exactly when it is not
-      cut;
-    * capacity bound: each voter still to vote gives any k rivals k
-      distinct positions, so they gain at least R times L_k, the sum of
-      the k smallest shifted entries; a branch dies once, for some k in
-      1..m-1, the k highest-scoring rivals have less room than that
-      below P (k = 1 is the monotone bound, since L_1 = 0).  Every row
-      is a permutation of the shifted vector and k < m, so the k
-      smallest entries are the same with p pinned first or not;
-    * last-voter pairing: with one voter of weight w left, moving p to
-      the top of a winning ballot keeps it winning, and among p-first
-      ballots, giving the rivals, highest score first, the m-1 smallest
-      entries in ascending order leaves the highest final rival score as
-      low as it can be (swapping two rivals' entries never lowers it);
-      the branch dies when even that leaves a rival above P, so no row
-      wins;
-    * failed-state table: with voter i free to pick any row (i = 0 or
-      its weight differs from voter i-1's), whether voters i..n-1 can
-      still make p win depends only on i, p's score and the sorted rival
-      scores, because the rows are closed under permuting the rivals.
-      Each such node is recorded once every row under it has failed, and
-      a later node with the same state is cut.  The table holds at most
-      ``FAILED_STATE_CAP`` states and is emptied when full;
-    * row dedup: each distinct score row is tried once;
-    * equal-weight symmetry: voter i picks no earlier row than voter i-1
-      when their weights are equal, since swapping their picks changes
-      no score and only the nondecreasing order can come first.
-
-    The capacity and pairing tests only matter when some entry below the
-    top is above 0, and the table only when there are several rows; the
-    one-row walk of an easy vector runs none of them.  A free last voter
-    that passes the pairing (or, with a flat tail, the monotone) test
-    always wins, so the table skips the last level.
-
-    The depth-first walk is iterative, so coalition size meets no
-    recursion limit.  ``node_cap`` bounds terminals, the evaluated leaves
-    plus cut branches; every internal node has a child, so it bounds the
-    work.  Raises CapExhausted as soon as one more terminal than the
-    budget would be needed, so an answer returned is always exact.
+    Everything that does not depend on the winner mode or the budget is
+    worked out once here: the vector's class, the vector shifted so its
+    last entry is 0, what the fixed voters give each candidate on it
+    (``base``, 0-based), p's index, and the per-voter bound tables.  The
+    distinct score rows and their weighted gains are built by the first
+    walk whose root passes its tests and kept for later walks.  Each call
+    of :meth:`answer` is its own walk, with its own budget, failed-state
+    table, picks and stats, and re-tallies its own "yes".
     """
-    n = len(weights)
-    nrows = 0  # set when the rows are built; _row_count gives it for stats before that
-    free = entries[1:] if pinned else entries
-    several = bool(free) and free[0] != free[-1]  # more than one row, as entries descend
-    ascending = sorted(entries)
-    top = ascending[-1]
-    lower = ascending[:-1]  # what the rivals share when p takes the top
-    # lows[k-1] = L_k; with a flat tail every L_k is 0 and the monotone
-    # bound implies the capacity and pairing tests
-    lows = list(itertools.accumulate(lower))
-    capacity_on = bool(lows) and lows[-1] > 0
-    slack = [0] * (n + 1)  # the most p can still gain from voters i..n-1: top * R
-    for i in range(n - 1, -1, -1):
-        slack[i] = slack[i + 1] + weights[i] * top
-    strict = 1 if unique else 0
-    ballots = gains = None  # built when the root passes its tests
-    tabled = [
-        several and i < n - 1 and (i == 0 or weights[i] != weights[i - 1]) for i in range(n)
-    ]
-    failed: set[tuple[int, ...]] = set()
-    keys: list[tuple[int, ...] | None] = [None] * n  # the state of each tabled node on the path
-    picks = [0] * n
-    score_p = [base[p]] + [0] * n
-    score_rivals = [base[:p] + base[p + 1:]] + [None] * n
-    # cut terminals by cause: monotone, capacity, pairing, repeats
-    cuts = [0, 0, 0, 0]
-    terminals = deepest = 0
-    level = 0
-    while True:
-        rivals = score_rivals[level]
-        best = score_p[level] + slack[level] - strict
-        cause = -1
-        if rivals and max(rivals) > best:
-            cause = 0
-        elif level < n and (capacity_on or tabled[level]):
-            ranked = sorted(rivals, reverse=True)
-            if capacity_on:
-                # k * P - S_k >= R * L_k, with S_k the sum of the k highest
-                # scores, both sides times top so that top * R is the slack
-                room = slack[level]
-                for k, (taken, low) in enumerate(zip(itertools.accumulate(ranked), lows), 1):
-                    if top * (k * best - taken) < room * low:
-                        cause = 1
-                        break
-                if cause < 0 and level == n - 1:
-                    w = weights[level]
-                    for score, entry in zip(ranked, lower):
-                        if score + w * entry > best:
-                            cause = 2
+
+    def __init__(self, inst: ManipulationInstance, restrict_p_first: bool):
+        vec = inst.alpha
+        dc = classify(vec)
+        self.inst = inst
+        self.mode = MODES[dc.tag]
+        # a hard vector's class already holds the shifted vector
+        shifted = dc.normalized if dc.normalized is not None else normalize_last_zero(vec)
+        entries = self.entries = shifted.entries
+        base_table = tally(inst.s_voters, shifted)
+        self.base = [base_table[c] for c in range(1, vec.m + 1)]
+        self.p = inst.p - 1
+        self.pinned = restrict_p_first
+        weights = self.weights = list(inst.t_weights)
+        n = len(weights)
+        free = entries[1:] if restrict_p_first else entries
+        several = bool(free) and free[0] != free[-1]  # more than one row, as entries descend
+        ascending = sorted(entries)
+        self.top = ascending[-1]
+        self.lower = ascending[:-1]  # what the rivals share when p takes the top
+        # lows[k-1] = L_k; with a flat tail every L_k is 0 and the monotone
+        # bound implies the capacity and pairing tests
+        self.lows = list(itertools.accumulate(self.lower))
+        self.capacity_on = bool(self.lows) and self.lows[-1] > 0
+        slack = self.slack = [0] * (n + 1)  # the most p can still gain from voters i..n-1: top * R
+        for i in range(n - 1, -1, -1):
+            slack[i] = slack[i + 1] + weights[i] * self.top
+        self.tabled = [
+            several and i < n - 1 and (i == 0 or weights[i] != weights[i - 1]) for i in range(n)
+        ]
+        self.ballots = self.gains = None  # built when a walk's root passes its tests
+
+    def _rows(self):
+        if self.ballots is None:
+            entries, p = self.entries, self.p
+            self.ballots = _row_ballots(entries, len(entries), p + 1 if self.pinned else None)
+            self.gains = _gains(self.weights, [_ballot_row(b, entries) for b in self.ballots], p)
+        return self.ballots, self.gains
+
+    def answer(self, unique: bool, node_cap: int) -> ManipulationAnswer:
+        """Decide one winner mode within ``node_cap`` terminals; see :func:`brute_force`."""
+        if not isinstance(node_cap, int) or node_cap < 0:
+            raise ValueError(f"search budget node_cap must be an integer >= 0, got {node_cap!r}")
+        witness, stats = self._walk(unique, node_cap)
+        if witness is None:
+            return ManipulationAnswer(False, None, self.mode, stats)
+        # Soundness check on every yes: the witness must actually make p win.
+        inst = self.inst
+        table = tally(inst.profile(witness), inst.alpha)
+        won = unique_winner(table) == inst.p if unique else inst.p in winners(table)
+        if not won:
+            raise ElectionError("internal error: witness failed re-evaluation")
+        return ManipulationAnswer(True, witness, self.mode, stats)
+
+    def _walk(self, unique, node_cap):
+        """First winning ballot per coalition voter (None if none), and stats.
+
+        Each coalition voter picks one distinct score row, cast by its
+        lexicographically first ballot (see :func:`_row_ballots`; p is
+        pinned first when ``pinned``).  Voters are assigned left to right
+        and each tries rows in order, so the first winning assignment
+        reached is the lexicographically first one.  The rows are built
+        only once a root passes its tests: every row is a permutation of
+        ``entries``, so the bounds need only their sorted values and the
+        row count, and a root cut leaves the search without building any.
+        Six cuts keep the witness:
+
+        * monotone bound: shifted entries are >= 0, so rivals never lose
+          points and p gains at most ``top`` times the weight R still to
+          vote, reaching at most P (less 1 when ``unique``); a branch dies
+          once a rival beats P, and a leaf is a win exactly when it is not
+          cut;
+        * capacity bound: each voter still to vote gives any k rivals k
+          distinct positions, so they gain at least R times L_k, the sum of
+          the k smallest shifted entries; a branch dies once, for some k in
+          1..m-1, the k highest-scoring rivals have less room than that
+          below P (k = 1 is the monotone bound, since L_1 = 0).  Every row
+          is a permutation of the shifted vector and k < m, so the k
+          smallest entries are the same with p pinned first or not;
+        * last-voter pairing: with one voter of weight w left, moving p to
+          the top of a winning ballot keeps it winning, and among p-first
+          ballots, giving the rivals, highest score first, the m-1 smallest
+          entries in ascending order leaves the highest final rival score as
+          low as it can be (swapping two rivals' entries never lowers it);
+          the branch dies when even that leaves a rival above P, so no row
+          wins;
+        * failed-state table: with voter i free to pick any row (i = 0 or
+          its weight differs from voter i-1's), whether voters i..n-1 can
+          still make p win depends only on i, p's score and the sorted rival
+          scores, because the rows are closed under permuting the rivals.
+          Each such node is recorded once every row under it has failed, and
+          a later node with the same state is cut.  The table holds at most
+          ``FAILED_STATE_CAP`` states and is emptied when full;
+        * row dedup: each distinct score row is tried once;
+        * equal-weight symmetry: voter i picks no earlier row than voter i-1
+          when their weights are equal, since swapping their picks changes
+          no score and only the nondecreasing order can come first.
+
+        The capacity and pairing tests only matter when some entry below the
+        top is above 0, and the table only when there are several rows; the
+        one-row walk of an easy vector runs none of them.  A free last voter
+        that passes the pairing (or, with a flat tail, the monotone) test
+        always wins, so the table skips the last level.
+
+        The depth-first walk is iterative, so coalition size meets no
+        recursion limit.  ``node_cap`` bounds terminals, the evaluated leaves
+        plus cut branches; every internal node has a child, so it bounds the
+        work.  Raises CapExhausted as soon as one more terminal than the
+        budget would be needed, so an answer returned is always exact.
+        """
+        weights, entries, base, p = self.weights, self.entries, self.base, self.p
+        pinned = self.pinned
+        top, lower, lows, capacity_on = self.top, self.lower, self.lows, self.capacity_on
+        slack, tabled = self.slack, self.tabled
+        n = len(weights)
+        ballots, gains = self.ballots, self.gains
+        # 0 until the rows are built; _row_count gives it for stats before that
+        nrows = 0 if ballots is None else len(ballots)
+        strict = 1 if unique else 0
+        failed: set[tuple[int, ...]] = set()
+        keys: list[tuple[int, ...] | None] = [None] * n  # the state of each tabled node on the path
+        picks = [0] * n
+        score_p = [base[p]] + [0] * n
+        score_rivals = [base[:p] + base[p + 1:]] + [None] * n
+        # cut terminals by cause: monotone, capacity, pairing, repeats
+        cuts = [0, 0, 0, 0]
+        terminals = deepest = 0
+        level = 0
+        while True:
+            rivals = score_rivals[level]
+            best = score_p[level] + slack[level] - strict
+            cause = -1
+            if rivals and max(rivals) > best:
+                cause = 0
+            elif level < n and (capacity_on or tabled[level]):
+                ranked = sorted(rivals, reverse=True)
+                if capacity_on:
+                    # k * P - S_k >= R * L_k, with S_k the sum of the k highest
+                    # scores, both sides times top so that top * R is the slack
+                    room = slack[level]
+                    for k, (taken, low) in enumerate(zip(itertools.accumulate(ranked), lows), 1):
+                        if top * (k * best - taken) < room * low:
+                            cause = 1
                             break
-            if cause < 0 and tabled[level]:
-                key = (level, score_p[level], *ranked)
-                if key in failed:
-                    cause = 3
+                    if cause < 0 and level == n - 1:
+                        w = weights[level]
+                        for score, entry in zip(ranked, lower):
+                            if score + w * entry > best:
+                                cause = 2
+                                break
+                if cause < 0 and tabled[level]:
+                    key = (level, score_p[level], *ranked)
+                    if key in failed:
+                        cause = 3
+                    else:
+                        keys[level] = key
+            if level < n and cause < 0:
+                if level:
+                    pick = picks[level - 1] if weights[level] == weights[level - 1] else 0
                 else:
-                    keys[level] = key
-        if level < n and cause < 0:
-            if level:
-                pick = picks[level - 1] if weights[level] == weights[level - 1] else 0
+                    ballots, gains = self._rows()
+                    nrows = len(ballots)
+                    pick = 0
             else:
-                ballots = _row_ballots(entries, len(entries), p + 1 if pinned else None)
-                nrows = len(ballots)
-                gains = _gains(weights, [_ballot_row(b, entries) for b in ballots], p)
-                pick = 0
-        else:
-            if level > deepest:
-                deepest = level
-            if terminals >= node_cap:
-                rows = nrows or _row_count(entries, pinned)
-                raise CapExhausted(node_cap, n, _stats(rows, terminals, cuts, deepest))
-            terminals += 1
-            if cause < 0:
-                break
-            if level < n:
-                cuts[cause] += 1
-            level -= 1
-            while level >= 0 and picks[level] == nrows - 1:
-                # every row under this node failed
-                if tabled[level]:
-                    if len(failed) >= FAILED_STATE_CAP:
-                        failed.clear()
-                    failed.add(keys[level])
+                if level > deepest:
+                    deepest = level
+                if terminals >= node_cap:
+                    rows = nrows or _row_count(entries, pinned)
+                    raise CapExhausted(node_cap, n, _stats(rows, terminals, cuts, deepest))
+                terminals += 1
+                if cause < 0:
+                    break
+                if level < n:
+                    cuts[cause] += 1
                 level -= 1
-            if level < 0:
-                picks = None
-                break
-            pick = picks[level] + 1
-        picks[level] = pick
-        gain_p, gain_rivals = gains[level]
-        score_p[level + 1] = score_p[level] + gain_p[pick]
-        score_rivals[level + 1] = list(map(add, score_rivals[level], gain_rivals[pick]))
-        level += 1
-    stats = _stats(nrows or _row_count(entries, pinned), terminals, cuts, deepest)
-    if picks is None:
-        return None, stats
-    # with no coalition voters the root is a leaf and no ballot was built
-    return tuple(ballots[i] for i in picks), stats
+                while level >= 0 and picks[level] == nrows - 1:
+                    # every row under this node failed
+                    if tabled[level]:
+                        if len(failed) >= FAILED_STATE_CAP:
+                            failed.clear()
+                        failed.add(keys[level])
+                    level -= 1
+                if level < 0:
+                    picks = None
+                    break
+                pick = picks[level] + 1
+            picks[level] = pick
+            gain_p, gain_rivals = gains[level]
+            score_p[level + 1] = score_p[level] + gain_p[pick]
+            score_rivals[level + 1] = list(map(add, score_rivals[level], gain_rivals[pick]))
+            level += 1
+        stats = _stats(nrows or _row_count(entries, pinned), terminals, cuts, deepest)
+        if picks is None:
+            return None, stats
+        # with no coalition voters the root is a leaf and no ballot was built
+        return tuple(ballots[i] for i in picks), stats
 
 
 def _gains(weights, rows, p):
@@ -349,8 +411,12 @@ def brute_force(
     score bound, a capacity bound on the highest-scoring rivals, an exact
     test of the last voter, a bounded table of failed states and an
     equal-weight symmetry cut prune branches that cannot hold that
-    witness (see :func:`_search`).  The rows are built only when the
-    bounds leave the empty assignment standing.
+    witness (see :meth:`_PreparedSearch._walk`).  The rows are built only
+    when the bounds leave the empty assignment standing.  The call
+    prepares a search (class, shifted vector, fixed-voter scores, bound
+    tables) and walks it once; callers asking both winner questions of
+    one instance can share the preparation, as ``verify_reduction`` does,
+    and get the same answers, witnesses and stats.
 
     ``node_cap`` budgets search-tree terminals: evaluated leaves plus cut
     branches.  It must be an integer >= 0, else ValueError is raised.
@@ -359,24 +425,7 @@ def brute_force(
     vector's class (see :data:`MODES`), and its ``stats`` count the
     terminals by cause (see :class:`SearchStats`).
     """
-    if not isinstance(node_cap, int) or node_cap < 0:
-        raise ValueError(f"search budget node_cap must be an integer >= 0, got {node_cap!r}")
-    vec = inst.alpha
-    mode = MODES[classify(vec).tag]
-    shifted = normalize_last_zero(vec)
-    base_table = tally(inst.s_voters, shifted)
-    base = [base_table[c] for c in range(1, vec.m + 1)]
-    witness, stats = _search(
-        list(inst.t_weights), shifted.entries, base, inst.p - 1, restrict_p_first, unique, node_cap
-    )
-    if witness is None:
-        return ManipulationAnswer(False, None, mode, stats)
-    # Soundness check on every yes: the witness must actually make p win.
-    table = tally(inst.profile(witness), vec)
-    won = unique_winner(table) == inst.p if unique else inst.p in winners(table)
-    if not won:
-        raise ElectionError("internal error: witness failed re-evaluation")
-    return ManipulationAnswer(True, witness, mode, stats)
+    return _PreparedSearch(inst, restrict_p_first).answer(unique, node_cap)
 
 
 def solve(

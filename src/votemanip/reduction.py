@@ -39,7 +39,7 @@ from .core import (
     winners,
 )
 from .dichotomy import hardness_params
-from .manipulation import DEFAULT_NODE_CAP, ManipulationAnswer, brute_force
+from .manipulation import DEFAULT_NODE_CAP, ManipulationAnswer, _PreparedSearch
 
 
 class OddSum(ElectionError):
@@ -391,11 +391,21 @@ def verify_reduction(
     unique-winner search all agree, a partition witness forwards to
     ballots leaving p the unique winner, and extraction from found
     ballots sums to the target.
+
+    Both searches walk one preparation of the gadget (p pinned first):
+    the vector's class, the shifted vector, the fixed voters' scores and,
+    once a root survives the bounds, the score rows and weighted gains
+    are worked out once.  Each walk keeps its own ``node_cap`` budget,
+    failed-state table and stats and re-tallies its own "yes", so ``mp``
+    and ``ump`` equal what ``brute_force(art.instance, False)`` and
+    ``brute_force(art.instance, True)`` return, and the first walk to run
+    out raises the same CapExhausted.
     """
     art = reduce_partition(alpha, part)
     subset = solve_partition(part)
-    mp = brute_force(art.instance, unique=False, node_cap=node_cap)
-    ump = brute_force(art.instance, unique=True, node_cap=node_cap)
+    search = _PreparedSearch(art.instance, restrict_p_first=True)
+    mp = search.answer(False, node_cap)
+    ump = search.answer(True, node_cap)
 
     forward_unique: bool | None = None
     if subset is not None:

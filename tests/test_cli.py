@@ -698,16 +698,23 @@ class TestDispatcher:
                 1,
                 "does not win",
             ),
+            # candidate counts past what a tuple can be sized to: these fail
+            # before anything is allocated
+            (["family", "--name", "borda", "--m", str(2**64)], 2, f"count {2**64} is too large"),
+            (["classify", "--family", "veto", "--m", str(2**64)], 2, f"count {2**64} is too large"),
+            (["evaluate", "{huge}"], 2, f"line 1: candidate count {2**64} is too large"),
         ],
     )
     def test_every_error_is_one_line_with_its_exit_code(
         self, argv, code, fragment, tmp_path, capsys
     ):
         (tmp_path / "loser.txt").write_text(LOSING_WITNESS)
+        (tmp_path / "huge.txt").write_text(f"family borda {2**64}\np 1\n")
         paths = {
             "plurality": DATA / "plurality_race.txt",
             "veto": DATA / "veto_partition_1_1.txt",
             "loser": tmp_path / "loser.txt",
+            "huge": tmp_path / "huge.txt",
         }
         assert run_command([arg.format(**paths) for arg in argv]) == code
         out, err = capsys.readouterr()

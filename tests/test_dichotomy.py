@@ -194,6 +194,21 @@ class TestFamilyVectors:
             with pytest.raises(UnsupportedM, match="must be an integer >= 1"):
                 family_vector(family, m)
 
+    @pytest.mark.parametrize("m", [2**64, 10**30])
+    def test_m_past_tuple_size_rejected(self, m):
+        # every kind overflows the tuple's index size before allocating
+        families = (
+            ScoringFamily.plurality(),
+            ScoringFamily.borda(),
+            ScoringFamily.veto(),
+            ScoringFamily.k_approval(2),
+            ScoringFamily.half_approval(),
+            ScoringFamily.constant(1),
+        )
+        for family in families:
+            with pytest.raises(UnsupportedM, match=f"count {m} is too large"):
+                family_vector(family, m)
+
     def test_bad_kind_rejected(self):
         with pytest.raises(ValueError):
             ScoringFamily("schulze")

@@ -484,6 +484,41 @@ class TestRootCut:
                 assert manipulation._row_count(entries, True) == len(_row_ballots(entries, m, p))
 
 
+class TestPreparedSearch:
+    """One prepared search answers a run of walks exactly as lone calls do."""
+
+    def test_walks_match_lone_calls(self):
+        rng = random.Random(12)
+        second_only = 0
+        for trial in range(600):
+            restrict = trial % 3 != 0
+            # small entries and weights tie often, so the two winner modes
+            # often need different numbers of terminals
+            alpha = random_nonincreasing(rng, rng.randint(1, 4), lo=-2, hi=2)
+            i = random_instance(rng, alpha, max_coalition=5, max_weight=2)
+            order = (False, True) if trial % 4 < 2 else (True, False)
+            lone = [brute_force(i, unique, restrict_p_first=restrict) for unique in order]
+            search = manipulation._PreparedSearch(i, restrict)
+            for unique, want in zip(order, lone):
+                got = search.answer(unique, manipulation.DEFAULT_NODE_CAP)
+                assert got == want and got.stats == want.stats, (i, unique, restrict)
+            first, second = (answer.stats.terminals for answer in lone)
+            # a budget the first walk exceeds, and one only the second does
+            caps = [(first - 1, 0)] + ([(second - 1, 1)] if second > first else [])
+            for cap, stops in caps:
+                search = manipulation._PreparedSearch(i, restrict)
+                if stops:
+                    second_only += 1
+                    assert search.answer(order[0], cap) == lone[0]
+                with pytest.raises(CapExhausted) as shared:
+                    search.answer(order[stops], cap)
+                with pytest.raises(CapExhausted) as alone:
+                    brute_force(i, order[stops], cap, restrict_p_first=restrict)
+                assert str(shared.value) == str(alone.value)
+                assert shared.value.stats == alone.value.stats
+        assert second_only >= 30
+
+
 class TestSolve:
     def test_routes_by_class(self):
         assert solve(inst((3, 3), [], (1,))).mode == "all-equal"

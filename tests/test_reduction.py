@@ -2,7 +2,9 @@ import random
 
 import pytest
 
+import votemanip.manipulation as manipulation
 from votemanip import (
+    CapExhausted,
     ElectionError,
     GadgetCase,
     NotAWinner,
@@ -14,8 +16,11 @@ from votemanip import (
     RoleMap,
     ScoringFamily,
     ScoringVector,
+    RuleClass,
     WeightedVote,
+    brute_force,
     build_core_voters,
+    classify,
     build_equalizer_voters,
     extract_witness,
     family_vector,
@@ -25,7 +30,7 @@ from votemanip import (
     tally,
     verify_reduction,
 )
-from helpers import exhaustive_partition
+from helpers import exhaustive_partition, random_nonincreasing
 
 SV = ScoringVector
 PI = PartitionInstance
@@ -383,6 +388,108 @@ class TestVerifyReduction:
     )
     def test_battery(self, entries, ks):
         assert verify_reduction(SV(entries), PI(ks)).passed
+
+
+# veto and Borda at m=3..5, 2-approval at m=4 and (2, 2, 1, 0, 0), the
+# vectors of the benchmark's reduction battery
+VERIFY_MIX = (
+    (1, 1, 0),
+    (1, 1, 1, 0),
+    (1, 1, 1, 1, 0),
+    (3, 2, 1),
+    (4, 3, 2, 1),
+    (5, 4, 3, 2, 1),
+    (1, 1, 0, 0),
+    (2, 2, 1, 0, 0),
+)
+
+
+def random_gadget_inputs(rng, yes):
+    """A hard vector and 3-8 integers with an even total; a split exists iff ``yes``."""
+    if rng.random() < 0.5:
+        alpha = SV(rng.choice(VERIFY_MIX))
+    else:
+        alpha = random_nonincreasing(rng, rng.randint(3, 5), lo=-4, hi=6)
+        while classify(alpha).tag is not RuleClass.HARD:
+            alpha = random_nonincreasing(rng, alpha.m, lo=-4, hi=6)
+    n = rng.randint(3, 8)
+    while True:
+        ks = [rng.randint(1, 25) for _ in range(n)]
+        if yes:
+            # deal the integers onto two sides, then top up the lighter side
+            side = [i % 2 == 0 for i in range(n)]
+            gap = sum(k if s else -k for k, s in zip(ks, side))
+            lighter = [i for i in range(n) if side[i] == (gap < 0)]
+            ks[rng.choice(lighter)] += abs(gap)
+        part = PI(tuple(ks))
+        if part.total % 2 == 0 and (solve_partition(part) is not None) == yes:
+            return alpha, part
+
+
+def same_cap(shared, lone):
+    return (str(shared), shared.stats, shared.search_space) == (
+        str(lone),
+        lone.stats,
+        lone.search_space,
+    )
+
+
+class TestVerifySharesOneSearch:
+    """verify_reduction answers both questions from one prepared search."""
+
+    def test_matches_lone_searches(self):
+        # on these gadgets the unique-winner walk never needed more terminals
+        # than the co-winner walk (0 of 1500 measured), so no budget stops
+        # the second walk alone; test_manipulation's TestPreparedSearch
+        # covers that on random instances
+        rng = random.Random(11)
+        for trial in range(320):
+            alpha, part = random_gadget_inputs(rng, yes=trial % 2 == 0)
+            report = verify_reduction(alpha, part)
+            assert report.passed
+            inst = report.artifact.instance
+            for got, unique in ((report.mp, False), (report.ump, True)):
+                lone = brute_force(inst, unique)
+                assert got == lone and got.stats == lone.stats, (alpha, part, unique)
+            # a budget the first walk exceeds
+            first = report.mp.stats.terminals
+            with pytest.raises(CapExhausted) as shared:
+                verify_reduction(alpha, part, node_cap=first - 1)
+            with pytest.raises(CapExhausted) as lone:
+                brute_force(inst, False, node_cap=first - 1)
+            assert same_cap(shared.value, lone.value), (alpha, part)
+
+    def count_row_builds(self, monkeypatch):
+        calls = []
+        build = manipulation._row_ballots
+
+        def counted(*args):
+            calls.append(args)
+            return build(*args)
+
+        monkeypatch.setattr(manipulation, "_row_ballots", counted)
+        return calls
+
+    @pytest.mark.parametrize(
+        "entries,ks",
+        [((5, 4, 3, 2, 1), (3, 5, 2, 4)), ((5, 4, 3, 2, 1), (1, 1, 4)), ((1, 1, 0, 0), (2, 2))],
+    )
+    def test_rows_built_once_when_a_root_survives(self, monkeypatch, entries, ks):
+        calls = self.count_row_builds(monkeypatch)
+        report = verify_reduction(SV(entries), PI(ks))
+        assert report.passed and report.mp.stats.deepest > 0
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("entries,ks", [((2, 1, 0), (6,)), ((1, 1, 1, 1, 0), (48,))])
+    def test_no_rows_when_both_roots_are_cut(self, monkeypatch, entries, ks):
+        # one coalition voter that cannot split a single integer: the
+        # last-voter test cuts the root in both winner modes
+        calls = self.count_row_builds(monkeypatch)
+        report = verify_reduction(SV(entries), PI(ks))
+        assert report.passed and not report.mp.decision
+        for answer in (report.mp, report.ump):
+            assert answer.stats.terminals == answer.stats.pairing == 1
+        assert calls == []
 
 
 class TestWideReduction:
