@@ -151,13 +151,16 @@ def _row_count(entries: tuple[int, ...], pinned: bool) -> int:
     """How many ballots :func:`_row_ballots` gives, without building them.
 
     It is the multinomial count of the entries below a pinned top, or of
-    all entries: their count factorial over the factorial of each run's
-    length.
+    all entries, taken as a product of binomials: each run of equal
+    entries, left to right, chooses its candidates among those the runs
+    before it left over.
     """
     free = entries[1:] if pinned else entries
-    count = math.factorial(len(free))
+    count, left = 1, len(free)
     for _, run in itertools.groupby(free):
-        count //= math.factorial(len(tuple(run)))
+        size = len(tuple(run))
+        count *= math.comb(left, size)
+        left -= size
     return count
 
 
@@ -174,11 +177,12 @@ class _PreparedSearch:
     Everything that does not depend on the winner mode or the budget is
     worked out once here: the vector's class, the vector shifted so its
     last entry is 0, what the fixed voters give each candidate on it
-    (``base``, 0-based), p's index, and the per-voter bound tables.  The
-    distinct score rows and their weighted gains are built by the first
-    walk whose root passes its tests and kept for later walks.  Each call
-    of :meth:`answer` is its own walk, with its own budget, failed-state
-    table, picks and stats, and re-tallies its own "yes".
+    (``base``, 0-based), p's index, the number of distinct score rows and
+    the per-voter bound tables.  The rows themselves and their weighted
+    gains are built by the first walk whose root passes its tests and
+    kept for later walks.  Each call of :meth:`answer` is its own walk,
+    with its own budget, failed-state table, picks and stats, and
+    re-tallies its own "yes".
     """
 
     def __init__(self, inst: ManipulationInstance, restrict_p_first: bool):
@@ -193,10 +197,9 @@ class _PreparedSearch:
         self.base = [base_table[c] for c in range(1, vec.m + 1)]
         self.p = inst.p - 1
         self.pinned = restrict_p_first
+        self.rows = _row_count(entries, restrict_p_first)
         weights = self.weights = list(inst.t_weights)
         n = len(weights)
-        free = entries[1:] if restrict_p_first else entries
-        several = bool(free) and free[0] != free[-1]  # more than one row, as entries descend
         ascending = sorted(entries)
         self.top = ascending[-1]
         self.lower = ascending[:-1]  # what the rivals share when p takes the top
@@ -208,7 +211,8 @@ class _PreparedSearch:
         for i in range(n - 1, -1, -1):
             slack[i] = slack[i + 1] + weights[i] * self.top
         self.tabled = [
-            several and i < n - 1 and (i == 0 or weights[i] != weights[i - 1]) for i in range(n)
+            self.rows > 1 and i < n - 1 and (i == 0 or weights[i] != weights[i - 1])
+            for i in range(n)
         ]
         self.ballots = self.gains = None  # built when a walk's root passes its tests
 
@@ -290,14 +294,11 @@ class _PreparedSearch:
         work.  Raises CapExhausted as soon as one more terminal than the
         budget would be needed, so an answer returned is always exact.
         """
-        weights, entries, base, p = self.weights, self.entries, self.base, self.p
-        pinned = self.pinned
+        weights, base, p, nrows = self.weights, self.base, self.p, self.rows
         top, lower, lows, capacity_on = self.top, self.lower, self.lows, self.capacity_on
         slack, tabled = self.slack, self.tabled
         n = len(weights)
-        ballots, gains = self.ballots, self.gains
-        # 0 until the rows are built; _row_count gives it for stats before that
-        nrows = 0 if ballots is None else len(ballots)
+        ballots = gains = None  # built when the root passes its tests
         strict = 1 if unique else 0
         failed: set[tuple[int, ...]] = set()
         keys: list[tuple[int, ...] | None] = [None] * n  # the state of each tabled node on the path
@@ -341,14 +342,12 @@ class _PreparedSearch:
                     pick = picks[level - 1] if weights[level] == weights[level - 1] else 0
                 else:
                     ballots, gains = self._rows()
-                    nrows = len(ballots)
                     pick = 0
             else:
                 if level > deepest:
                     deepest = level
                 if terminals >= node_cap:
-                    rows = nrows or _row_count(entries, pinned)
-                    raise CapExhausted(node_cap, n, _stats(rows, terminals, cuts, deepest))
+                    raise CapExhausted(node_cap, n, _stats(nrows, terminals, cuts, deepest))
                 terminals += 1
                 if cause < 0:
                     break
@@ -371,7 +370,7 @@ class _PreparedSearch:
             score_p[level + 1] = score_p[level] + gain_p[pick]
             score_rivals[level + 1] = list(map(add, score_rivals[level], gain_rivals[pick]))
             level += 1
-        stats = _stats(nrows or _row_count(entries, pinned), terminals, cuts, deepest)
+        stats = _stats(nrows, terminals, cuts, deepest)
         if picks is None:
             return None, stats
         # with no coalition voters the root is a leaf and no ballot was built
