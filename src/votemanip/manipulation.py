@@ -119,7 +119,9 @@ class ManipulationAnswer:
     stats: SearchStats = field(compare=False)
 
 
-def _row_ballots(entries: tuple[int, ...], m: int, p: int | None) -> list[Order]:
+def _row_ballots(
+    entries: tuple[int, ...], m: int, p: int | None, limit: int | None = None
+) -> list[Order]:
     """The lexicographically first ballot of each distinct score row, in order.
 
     Ballots that differ only inside a run of equal vector entries give
@@ -127,7 +129,8 @@ def _row_ballots(entries: tuple[int, ...], m: int, p: int | None) -> list[Order]
     candidates in increasing order.  With ``p`` set, p is pinned to the
     top and the runs start below it.  Choosing each run's candidates as
     a combination of the unused ones, runs left to right, yields exactly
-    those ballots in lexicographic order.
+    those ballots in lexicographic order.  With ``limit`` set (>= 1),
+    only the first ``limit`` of them are built.
     """
     head: Order = (p,) if p is not None else ()
     runs = [len(tuple(run)) for _, run in itertools.groupby(entries[len(head):])]
@@ -141,6 +144,8 @@ def _row_ballots(entries: tuple[int, ...], m: int, p: int | None) -> list[Order]
             ballots.append(prefix)
             return
         for block in itertools.combinations(left, runs[i]):
+            if len(ballots) == limit:
+                return
             extend(prefix + block, [c for c in left if c not in block], i + 1)
 
     extend(head, pool, 0)
@@ -179,10 +184,11 @@ class _PreparedSearch:
     last entry is 0, what the fixed voters give each candidate on it
     (``base``, 0-based), p's index, the number of distinct score rows and
     the per-voter bound tables.  The rows themselves and their weighted
-    gains are built by the first walk whose root passes its tests and
-    kept for later walks.  Each call of :meth:`answer` is its own walk,
-    with its own budget, failed-state table, picks and stats, and
-    re-tallies its own "yes".
+    gains are built by the first walk whose root passes its tests, only
+    as many as its budget can reach, and kept for later walks; a later
+    walk whose budget reaches further builds them again.  Each call of
+    :meth:`answer` is its own walk, with its own budget, failed-state
+    table, picks and stats, and re-tallies its own "yes".
     """
 
     def __init__(self, inst: ManipulationInstance, restrict_p_first: bool):
@@ -216,10 +222,13 @@ class _PreparedSearch:
         ]
         self.ballots = self.gains = None  # built when a walk's root passes its tests
 
-    def _rows(self):
-        if self.ballots is None:
+    def _rows(self, node_cap):
+        # a walk within node_cap terminals never picks a row past index node_cap
+        limit = min(self.rows, node_cap + 1)
+        if self.ballots is None or len(self.ballots) < limit:
             entries, p = self.entries, self.p
-            self.ballots = _row_ballots(entries, len(entries), p + 1 if self.pinned else None)
+            head = p + 1 if self.pinned else None
+            self.ballots = _row_ballots(entries, len(entries), head, limit)
             self.gains = _gains(self.weights, [_ballot_row(b, entries) for b in self.ballots], p)
         return self.ballots, self.gains
 
@@ -291,8 +300,12 @@ class _PreparedSearch:
         The depth-first walk is iterative, so coalition size meets no
         recursion limit.  ``node_cap`` bounds terminals, the evaluated leaves
         plus cut branches; every internal node has a child, so it bounds the
-        work.  Raises CapExhausted as soon as one more terminal than the
-        budget would be needed, so an answer returned is always exact.
+        work.  It also bounds the rows built: each row tried at a node costs
+        at least one terminal, and a voter starting at the previous voter's
+        row adds its tries to theirs, so the walk picks no row past index
+        ``node_cap`` and builds at most ``node_cap + 1`` rows.  Raises
+        CapExhausted as soon as one more terminal than the budget would be
+        needed, so an answer returned is always exact.
         """
         weights, base, p, nrows = self.weights, self.base, self.p, self.rows
         top, lower, lows, capacity_on = self.top, self.lower, self.lows, self.capacity_on
@@ -341,7 +354,7 @@ class _PreparedSearch:
                 if level:
                     pick = picks[level - 1] if weights[level] == weights[level - 1] else 0
                 else:
-                    ballots, gains = self._rows()
+                    ballots, gains = self._rows(node_cap)
                     pick = 0
             else:
                 if level > deepest:
@@ -418,7 +431,8 @@ def brute_force(
     and get the same answers, witnesses and stats.
 
     ``node_cap`` budgets search-tree terminals: evaluated leaves plus cut
-    branches.  It must be an integer >= 0, else ValueError is raised.
+    branches.  It also bounds the score rows built, to at most
+    ``node_cap + 1``.  It must be an integer >= 0, else ValueError is raised.
     Raises CapExhausted once answering would need more; any decision
     reached within the budget is exact.  The answer's ``mode`` names the
     vector's class (see :data:`MODES`), and its ``stats`` count the

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from dataclasses import replace
@@ -18,6 +19,7 @@ from votemanip import (
     WrongClass,
     brute_force,
     classify,
+    family_vector,
     solve,
     solve_all_equal,
     solve_plurality_like,
@@ -484,6 +486,58 @@ class TestRootCut:
                 assert manipulation._row_count(entries, True) == len(_row_ballots(entries, m, p))
 
 
+def multinomial(entries, pinned):
+    """The row count as a factorial over the factorials of the run lengths."""
+    free = entries[1:] if pinned else entries
+    count = math.factorial(len(free))
+    for size in (len(list(run)) for _, run in itertools.groupby(free)):
+        count //= math.factorial(size)
+    return count
+
+
+class TestRowCount:
+    def test_matches_factorial_formula(self):
+        rng = random.Random(60)
+        for _ in range(300):
+            # m entries in up to 13 runs of equal entries
+            m = rng.randint(1, 60)
+            cuts = sorted(rng.sample(range(1, m), rng.randint(0, min(m - 1, 12))))
+            sizes = [b - a for a, b in zip([0, *cuts], [*cuts, m])]
+            entries = tuple(len(sizes) - r for r, size in enumerate(sizes) for _ in range(size))
+            for pinned in (False, True):
+                assert manipulation._row_count(entries, pinned) == multinomial(entries, pinned)
+
+    @pytest.mark.parametrize(
+        "family", [ScoringFamily.plurality(), ScoringFamily.veto()], ids=["plurality", "veto"]
+    )
+    def test_long_runs(self, family):
+        entries = family_vector(family, 20000).entries
+        for pinned in (False, True):
+            assert manipulation._row_count(entries, pinned) == multinomial(entries, pinned)
+
+
+class TestRowBudget:
+    """The budget bounds the rows built as well as the terminals spent."""
+
+    def test_no_budget_builds_one_row(self, monkeypatch):
+        # Borda m=10 and two unit coalition voters with p first win at the
+        # first leaf; a budget of 0 stops there, having picked only row 0
+        m = 10
+        i = inst(tuple(range(m, 0, -1)), [], (1, 1))
+        calls = []
+        build = manipulation._row_ballots
+
+        def counted(*args):
+            calls.append(args)
+            return build(*args)
+
+        monkeypatch.setattr(manipulation, "_row_ballots", counted)
+        with pytest.raises(CapExhausted) as err:
+            brute_force(i, node_cap=0)
+        assert err.value.stats == SearchStats(math.factorial(m - 1), 0, 0, 0, 0, 0, 2)
+        assert len(calls) == 1 and calls[0][3] <= 1
+
+
 class TestPreparedSearch:
     """One prepared search answers a run of walks exactly as lone calls do."""
 
@@ -517,6 +571,33 @@ class TestPreparedSearch:
                 assert str(shared.value) == str(alone.value)
                 assert shared.value.stats == alone.value.stats
         assert second_only >= 30
+
+    def test_small_budget_then_full(self):
+        # the first walk builds only the rows its budget reaches and runs
+        # out; the second needs more rows and must build them
+        rng = random.Random(13)
+        rebuilt = 0
+        for trial in range(300):
+            restrict = trial % 2 == 0
+            alpha = random_nonincreasing(rng, rng.randint(3, 5), lo=-2, hi=3)
+            i = random_instance(rng, alpha, max_coalition=4, max_weight=3)
+            unique = trial % 3 == 0
+            lone = brute_force(i, unique, restrict_p_first=restrict)
+            if lone.stats.terminals < 2:
+                continue
+            cap = rng.randrange(lone.stats.terminals - 1)
+            search = manipulation._PreparedSearch(i, restrict)
+            with pytest.raises(CapExhausted) as shared:
+                search.answer(unique, cap)
+            with pytest.raises(CapExhausted) as alone:
+                brute_force(i, unique, cap, restrict_p_first=restrict)
+            assert str(shared.value) == str(alone.value)
+            assert shared.value.stats == alone.value.stats
+            built = 0 if search.ballots is None else len(search.ballots)
+            got = search.answer(unique, manipulation.DEFAULT_NODE_CAP)
+            assert got == lone and got.stats == lone.stats, (i, unique, restrict, cap)
+            rebuilt += 0 < built < len(search.ballots)
+        assert rebuilt >= 30
 
 
 class TestSolve:
