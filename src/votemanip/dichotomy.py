@@ -189,14 +189,15 @@ def family_vector(family: ScoringFamily, m: int) -> ScoringVector:
 
     Raises UnsupportedM for an ``m`` that is not an integer >= 1, for an
     ``m`` whose vector is too long for Python to size a tuple (from about
-    2**63 on 64-bit builds), for k-approval with fewer than k candidates,
-    and for explicit tables without an entry for m.
+    2**63 on 64-bit builds) or to allocate in one request (just below
+    that), for k-approval with fewer than k candidates, and for explicit
+    tables without an entry for m.
     """
     if not isinstance(m, int) or m < 1:
         raise UnsupportedM(f"candidate count must be an integer >= 1, got {m!r}")
     try:
         return _vector_at(family, m)
-    except OverflowError:
+    except (OverflowError, MemoryError):
         raise UnsupportedM(f"candidate count {m} is too large for a scoring vector") from None
 
 

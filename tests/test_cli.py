@@ -703,6 +703,8 @@ class TestDispatcher:
             (["family", "--name", "borda", "--m", str(2**64)], 2, f"count {2**64} is too large"),
             (["classify", "--family", "veto", "--m", str(2**64)], 2, f"count {2**64} is too large"),
             (["evaluate", "{huge}"], 2, f"line 1: candidate count {2**64} is too large"),
+            # 2**63 still sizes a tuple, but no single allocation can hold it
+            (["family", "--name", "veto", "--m", str(2**63)], 2, f"count {2**63} is too large"),
         ],
     )
     def test_every_error_is_one_line_with_its_exit_code(

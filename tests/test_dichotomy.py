@@ -194,9 +194,11 @@ class TestFamilyVectors:
             with pytest.raises(UnsupportedM, match="must be an integer >= 1"):
                 family_vector(family, m)
 
-    @pytest.mark.parametrize("m", [2**64, 10**30])
+    @pytest.mark.parametrize("m", [2**64, 10**30, 2**63, 2**63 - 1])
     def test_m_past_tuple_size_rejected(self, m):
-        # every kind overflows the tuple's index size before allocating
+        # every kind fails before allocating: the count overflows the
+        # tuple's index size, or (at 2**63 - 1, and for some kinds at
+        # 2**63) asks for more memory than one allocation can get
         families = (
             ScoringFamily.plurality(),
             ScoringFamily.borda(),
