@@ -12,10 +12,11 @@ re-evaluated before being returned.
 
 A search is prepared once per instance and ``restrict_p_first`` setting,
 then walked once per question.  The walks share the vector's class, the
-shifted vector, the fixed voters' scores, the bound tables and, once one
-walk's root survives the bounds, the score rows and their weighted gains.
-Each walk keeps its own budget, failed-state table, picks and stats, and
-re-tallies its own "yes".  :func:`brute_force` prepares and walks once;
+shifted vector, the fixed voters' scores, the row count, the bound tables
+and, once one walk's root survives the bounds, the score rows and their
+weighted gains, as many as that walk's budget can reach.  Each walk
+keeps its own budget, failed-state table, picks and stats, and re-tallies
+its own "yes".  :func:`brute_force` prepares and walks once;
 ``reduction.verify_reduction`` walks one preparation for both winner
 modes.
 """
@@ -300,10 +301,11 @@ class _PreparedSearch:
         The depth-first walk is iterative, so coalition size meets no
         recursion limit.  ``node_cap`` bounds terminals, the evaluated leaves
         plus cut branches; every internal node has a child, so it bounds the
-        work.  It also bounds the rows built: each row tried at a node costs
-        at least one terminal, and a voter starting at the previous voter's
-        row adds its tries to theirs, so the walk picks no row past index
-        ``node_cap`` and builds at most ``node_cap + 1`` rows.  Raises
+        work.  It also bounds the rows built: every row a node has tried
+        cost at least one terminal, and an equal-weight voter starts at the
+        row the voter before it holds, so no pick's index exceeds the
+        terminals spent; the walk picks no row past index ``node_cap`` and
+        builds at most ``node_cap + 1`` rows.  Raises
         CapExhausted as soon as one more terminal than the budget would be
         needed, so an answer returned is always exact.
         """
