@@ -13,12 +13,11 @@ re-evaluated before being returned.
 A search is prepared once per instance and ``restrict_p_first`` setting,
 then walked once per question.  The walks share the vector's class, the
 shifted vector, the fixed voters' scores, the row count, the bound tables
-and, once one walk's root survives the bounds, the score rows and their
-weighted gains, as many as that walk's budget can reach.  Each walk
-keeps its own budget, failed-state table, picks and stats, and re-tallies
-its own "yes".  :func:`brute_force` prepares and walks once;
-``reduction.verify_reduction`` walks one preparation for both winner
-modes.
+and the score rows with their weighted gains, each row built the first
+time a walk picks it.  Each walk keeps its own budget, failed-state
+table, picks and stats, and re-tallies its own "yes".
+:func:`brute_force` prepares and walks once; ``reduction.verify_reduction``
+walks one preparation for both winner modes.
 """
 
 from __future__ import annotations
@@ -27,6 +26,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from operator import add
+from typing import Iterator
 
 from .core import ElectionError, ManipulationInstance, Order, tally, unique_winner, winners
 from .dichotomy import RuleClass, classify, normalize_last_zero
@@ -120,9 +120,7 @@ class ManipulationAnswer:
     stats: SearchStats = field(compare=False)
 
 
-def _row_ballots(
-    entries: tuple[int, ...], m: int, p: int | None, limit: int | None = None
-) -> list[Order]:
+def _row_ballots(entries: tuple[int, ...], m: int, p: int | None) -> Iterator[Order]:
     """The lexicographically first ballot of each distinct score row, in order.
 
     Ballots that differ only inside a run of equal vector entries give
@@ -130,27 +128,22 @@ def _row_ballots(
     candidates in increasing order.  With ``p`` set, p is pinned to the
     top and the runs start below it.  Choosing each run's candidates as
     a combination of the unused ones, runs left to right, yields exactly
-    those ballots in lexicographic order.  With ``limit`` set (>= 1),
-    only the first ``limit`` of them are built.
+    those ballots in lexicographic order, one at a time.
     """
     head: Order = (p,) if p is not None else ()
     runs = [len(tuple(run)) for _, run in itertools.groupby(entries[len(head):])]
     pool = [c for c in range(1, m + 1) if c != p]
-    ballots: list[Order] = []
 
-    def extend(prefix: Order, left: list[int], i: int) -> None:
+    def extend(prefix: Order, left: list[int], i: int) -> Iterator[Order]:
         # recursion depth is the number of runs, and k runs already mean
         # at least k! ballots, so the depth stays far below any limit
         if i == len(runs):
-            ballots.append(prefix)
+            yield prefix
             return
         for block in itertools.combinations(left, runs[i]):
-            if len(ballots) == limit:
-                return
-            extend(prefix + block, [c for c in left if c not in block], i + 1)
+            yield from extend(prefix + block, [c for c in left if c not in block], i + 1)
 
-    extend(head, pool, 0)
-    return ballots
+    yield from extend(head, pool, 0)
 
 
 def _row_count(entries: tuple[int, ...], pinned: bool) -> int:
@@ -185,11 +178,10 @@ class _PreparedSearch:
     last entry is 0, what the fixed voters give each candidate on it
     (``base``, 0-based), p's index, the number of distinct score rows and
     the per-voter bound tables.  The rows themselves and their weighted
-    gains are built by the first walk whose root passes its tests, only
-    as many as its budget can reach, and kept for later walks; a later
-    walk whose budget reaches further builds them again.  Each call of
-    :meth:`answer` is its own walk, with its own budget, failed-state
-    table, picks and stats, and re-tallies its own "yes".
+    gains are built one at a time, the first time a walk picks them, and
+    kept for later walks.  Each call of :meth:`answer` is its own walk,
+    with its own budget, failed-state table, picks and stats, and
+    re-tallies its own "yes".
     """
 
     def __init__(self, inst: ManipulationInstance, restrict_p_first: bool):
@@ -221,17 +213,26 @@ class _PreparedSearch:
             self.rows > 1 and i < n - 1 and (i == 0 or weights[i] != weights[i - 1])
             for i in range(n)
         ]
-        self.ballots = self.gains = None  # built when a walk's root passes its tests
+        # the rows built so far and, per voter, what each gives p and the
+        # rivals at that voter's weight; voters of equal weight share a pair
+        self.ballots: list[Order] = []
+        self.by_weight = {w: ([], []) for w in weights}
+        self.gains = [self.by_weight[w] for w in weights]
+        self.next_ballot: Iterator[Order] | None = None
 
-    def _rows(self, node_cap):
-        # a walk within node_cap terminals never picks a row past index node_cap
-        limit = min(self.rows, node_cap + 1)
-        if self.ballots is None or len(self.ballots) < limit:
-            entries, p = self.entries, self.p
-            head = p + 1 if self.pinned else None
-            self.ballots = _row_ballots(entries, len(entries), head, limit)
-            self.gains = _gains(self.weights, [_ballot_row(b, entries) for b in self.ballots], p)
-        return self.ballots, self.gains
+    def _add_row(self) -> None:
+        # the generator is made on the first call, so a cut root builds no row
+        if self.next_ballot is None:
+            head = self.p + 1 if self.pinned else None
+            self.next_ballot = _row_ballots(self.entries, len(self.entries), head)
+        ballot = next(self.next_ballot)
+        self.ballots.append(ballot)
+        p = self.p
+        row = _ballot_row(ballot, self.entries)
+        rivals = row[:p] + row[p + 1:]
+        for w, (gain_p, gain_rivals) in self.by_weight.items():
+            gain_p.append(w * row[p])
+            gain_rivals.append([w * x for x in rivals])
 
     def answer(self, unique: bool, node_cap: int) -> ManipulationAnswer:
         """Decide one winner mode within ``node_cap`` terminals; see :func:`brute_force`."""
@@ -255,11 +256,12 @@ class _PreparedSearch:
         lexicographically first ballot (see :func:`_row_ballots`; p is
         pinned first when ``pinned``).  Voters are assigned left to right
         and each tries rows in order, so the first winning assignment
-        reached is the lexicographically first one.  The rows are built
-        only once a root passes its tests: every row is a permutation of
-        ``entries``, so the bounds need only their sorted values and the
-        row count, and a root cut leaves the search without building any.
-        Six cuts keep the witness:
+        reached is the lexicographically first one.  Row k is built the
+        first time a voter picks it, and no voter picks it before one has
+        picked row k-1, so the walk builds only the rows it reaches.  Every
+        row is a permutation of ``entries``, so the bounds need only their
+        sorted values and the row count, and a root cut builds no row.  Six
+        cuts keep the witness:
 
         * monotone bound: shifted entries are >= 0, so rivals never lose
           points and p gains at most ``top`` times the weight R still to
@@ -301,19 +303,15 @@ class _PreparedSearch:
         The depth-first walk is iterative, so coalition size meets no
         recursion limit.  ``node_cap`` bounds terminals, the evaluated leaves
         plus cut branches; every internal node has a child, so it bounds the
-        work.  It also bounds the rows built: every row a node has tried
-        cost at least one terminal, and an equal-weight voter starts at the
-        row the voter before it holds, so no pick's index exceeds the
-        terminals spent; the walk picks no row past index ``node_cap`` and
-        builds at most ``node_cap + 1`` rows.  Raises
-        CapExhausted as soon as one more terminal than the budget would be
-        needed, so an answer returned is always exact.
+        work.  Raises CapExhausted as soon as one more terminal than the
+        budget would be needed, so an answer returned is always exact.
         """
         weights, base, p, nrows = self.weights, self.base, self.p, self.rows
         top, lower, lows, capacity_on = self.top, self.lower, self.lows, self.capacity_on
         slack, tabled = self.slack, self.tabled
         n = len(weights)
-        ballots = gains = None  # built when the root passes its tests
+        ballots, gains = self.ballots, self.gains
+        built = len(ballots)
         strict = 1 if unique else 0
         failed: set[tuple[int, ...]] = set()
         keys: list[tuple[int, ...] | None] = [None] * n  # the state of each tabled node on the path
@@ -353,11 +351,7 @@ class _PreparedSearch:
                     else:
                         keys[level] = key
             if level < n and cause < 0:
-                if level:
-                    pick = picks[level - 1] if weights[level] == weights[level - 1] else 0
-                else:
-                    ballots, gains = self._rows(node_cap)
-                    pick = 0
+                pick = picks[level - 1] if level and weights[level] == weights[level - 1] else 0
             else:
                 if level > deepest:
                     deepest = level
@@ -380,6 +374,9 @@ class _PreparedSearch:
                     picks = None
                     break
                 pick = picks[level] + 1
+            if pick == built:
+                self._add_row()
+                built += 1
             picks[level] = pick
             gain_p, gain_rivals = gains[level]
             score_p[level + 1] = score_p[level] + gain_p[pick]
@@ -388,20 +385,7 @@ class _PreparedSearch:
         stats = _stats(nrows, terminals, cuts, deepest)
         if picks is None:
             return None, stats
-        # with no coalition voters the root is a leaf and no ballot was built
         return tuple(ballots[i] for i in picks), stats
-
-
-def _gains(weights, rows, p):
-    """Per voter, what each row gives p and the rivals at that voter's weight."""
-    by_weight: dict[int, tuple[list[int], list[list[int]]]] = {}
-    for w in weights:
-        if w not in by_weight:
-            by_weight[w] = (
-                [w * row[p] for row in rows],
-                [[w * x for x in row[:p] + row[p + 1:]] for row in rows],
-            )
-    return [by_weight[w] for w in weights]
 
 
 def _stats(rows, terminals, cuts, deepest):
@@ -425,16 +409,16 @@ def brute_force(
     score bound, a capacity bound on the highest-scoring rivals, an exact
     test of the last voter, a bounded table of failed states and an
     equal-weight symmetry cut prune branches that cannot hold that
-    witness (see :meth:`_PreparedSearch._walk`).  The rows are built only
-    when the bounds leave the empty assignment standing.  The call
+    witness (see :meth:`_PreparedSearch._walk`).  Each row is built the
+    first time the search picks it, so bounds that cut the empty
+    assignment build none, and a first leaf that wins builds one.  The call
     prepares a search (class, shifted vector, fixed-voter scores, bound
     tables) and walks it once; callers asking both winner questions of
     one instance can share the preparation, as ``verify_reduction`` does,
     and get the same answers, witnesses and stats.
 
     ``node_cap`` budgets search-tree terminals: evaluated leaves plus cut
-    branches.  It also bounds the score rows built, to at most
-    ``node_cap + 1``.  It must be an integer >= 0, else ValueError is raised.
+    branches.  It must be an integer >= 0, else ValueError is raised.
     Raises CapExhausted once answering would need more; any decision
     reached within the budget is exact.  The answer's ``mode`` names the
     vector's class (see :data:`MODES`), and its ``stats`` count the

@@ -136,7 +136,7 @@ class TestEasyPath:
                 entries = entries[:1] + entries[-1:] * (m - 1)
             easy = classify(SV(entries)).tag is not RuleClass.HARD
             for p in range(1, m + 1):
-                assert (len(_row_ballots(entries, m, p)) == 1) == easy, (entries, p)
+                assert (len(list(_row_ballots(entries, m, p))) == 1) == easy, (entries, p)
             seen[easy] += 1
         assert min(seen.values()) > 60
 
@@ -481,9 +481,11 @@ class TestRootCut:
         for _ in range(150):
             m = rng.randint(1, 7)
             entries = random_nonincreasing(rng, m, lo=0, hi=3).entries
-            assert manipulation._row_count(entries, False) == len(_row_ballots(entries, m, None))
+            built = len(list(_row_ballots(entries, m, None)))
+            assert manipulation._row_count(entries, False) == built
             for p in range(1, m + 1):
-                assert manipulation._row_count(entries, True) == len(_row_ballots(entries, m, p))
+                built = len(list(_row_ballots(entries, m, p)))
+                assert manipulation._row_count(entries, True) == built
 
 
 def multinomial(entries, pinned):
@@ -519,23 +521,27 @@ class TestRowCount:
 class TestRowBudget:
     """The budget bounds the rows built as well as the terminals spent."""
 
-    def test_no_budget_builds_one_row(self, monkeypatch):
+    def test_no_budget_builds_one_row(self):
         # Borda m=10 and two unit coalition voters with p first win at the
         # first leaf; a budget of 0 stops there, having picked only row 0
         m = 10
         i = inst(tuple(range(m, 0, -1)), [], (1, 1))
-        calls = []
-        build = manipulation._row_ballots
-
-        def counted(*args):
-            calls.append(args)
-            return build(*args)
-
-        monkeypatch.setattr(manipulation, "_row_ballots", counted)
+        search = manipulation._PreparedSearch(i, True)
         with pytest.raises(CapExhausted) as err:
-            brute_force(i, node_cap=0)
+            search.answer(False, 0)
         assert err.value.stats == SearchStats(math.factorial(m - 1), 0, 0, 0, 0, 0, 2)
-        assert len(calls) == 1 and calls[0][3] <= 1
+        assert len(search.ballots) == 1
+
+    @pytest.mark.parametrize("m", [9, 12])
+    def test_first_leaf_builds_one_row(self, m):
+        # the same election under the default budget wins at its first leaf,
+        # so the walk builds the one row it picked, not the 8! or 11! rows
+        i = inst(tuple(range(m, 0, -1)), [], (1, 1))
+        search = manipulation._PreparedSearch(i, True)
+        got = search.answer(False, manipulation.DEFAULT_NODE_CAP)
+        assert got.decision and got.stats.terminals == 1
+        assert got.witness == (tuple(range(1, m + 1)),) * 2
+        assert len(search.ballots) == 1
 
 
 class TestPreparedSearch:
@@ -573,10 +579,10 @@ class TestPreparedSearch:
         assert second_only >= 30
 
     def test_small_budget_then_full(self):
-        # the first walk builds only the rows its budget reaches and runs
-        # out; the second needs more rows and must build them
+        # the first walk builds only the rows it picks and runs out; the
+        # second needs more rows and extends the kept ones
         rng = random.Random(13)
-        rebuilt = 0
+        extended = 0
         for trial in range(300):
             restrict = trial % 2 == 0
             alpha = random_nonincreasing(rng, rng.randint(3, 5), lo=-2, hi=3)
@@ -593,11 +599,11 @@ class TestPreparedSearch:
                 brute_force(i, unique, cap, restrict_p_first=restrict)
             assert str(shared.value) == str(alone.value)
             assert shared.value.stats == alone.value.stats
-            built = 0 if search.ballots is None else len(search.ballots)
+            built = len(search.ballots)
             got = search.answer(unique, manipulation.DEFAULT_NODE_CAP)
             assert got == lone and got.stats == lone.stats, (i, unique, restrict, cap)
-            rebuilt += 0 < built < len(search.ballots)
-        assert rebuilt >= 30
+            extended += 0 < built < len(search.ballots)
+        assert extended >= 30
 
 
 class TestSolve:
