@@ -336,12 +336,12 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
     inst = parse_instance(_read(args.instance))
     vec = inst.alpha
     orders: tuple[Order, ...] = ()
-    if inst.t_weights:
-        if not args.witness:
-            raise ParseError(
-                None, "instance has coalition voters; supply their ballots with --witness"
-            )
+    if args.witness is not None:
         orders = parse_witness(_read(args.witness), len(inst.t_weights), vec.m)
+    elif inst.t_weights:
+        raise ParseError(
+            None, "instance has coalition voters; supply their ballots with --witness"
+        )
     table = tally(inst.profile(orders), vec)
     scores = [_decimal(table[c], f"score of candidate {c}") for c in range(1, vec.m + 1)]
     for c, score in enumerate(scores, start=1):

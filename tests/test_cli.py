@@ -705,6 +705,9 @@ class TestDispatcher:
             (["evaluate", "{huge}"], 2, f"line 1: candidate count {2**64} is too large"),
             # 2**63 still sizes a tuple, but no single allocation can hold it
             (["family", "--name", "veto", "--m", str(2**63)], 2, f"count {2**63} is too large"),
+            # a witness given for an instance without coalition voters is read
+            (["evaluate", "{no_t}", "--witness", "/nonexistent/w.txt"], 2, "/nonexistent/w.txt"),
+            (["evaluate", "{no_t}", "--witness", "{loser}"], 2, "index 1 outside 1..0"),
         ],
     )
     def test_every_error_is_one_line_with_its_exit_code(
@@ -712,11 +715,13 @@ class TestDispatcher:
     ):
         (tmp_path / "loser.txt").write_text(LOSING_WITNESS)
         (tmp_path / "huge.txt").write_text(f"family borda {2**64}\np 1\n")
+        (tmp_path / "no_t.txt").write_text("alpha 2 1 0\np 1\ns 1 1 2 3\n")
         paths = {
             "plurality": DATA / "plurality_race.txt",
             "veto": DATA / "veto_partition_1_1.txt",
             "loser": tmp_path / "loser.txt",
             "huge": tmp_path / "huge.txt",
+            "no_t": tmp_path / "no_t.txt",
         }
         assert run_command([arg.format(**paths) for arg in argv]) == code
         out, err = capsys.readouterr()
