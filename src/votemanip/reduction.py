@@ -393,9 +393,9 @@ def verify_reduction(
     ballots sums to the target.
 
     Both searches walk one preparation of the gadget (p pinned first):
-    the vector's class, the shifted vector, the fixed voters' scores and,
-    once a root survives the bounds, the score rows and weighted gains
-    are worked out once.  Each walk keeps its own ``node_cap`` budget,
+    the vector's class, the shifted vector and the fixed voters' scores
+    are worked out once, and each score row with its weighted gains is
+    built the first time either walk picks it.  Each walk keeps its own ``node_cap`` budget,
     failed-state table and stats and re-tallies its own "yes", so ``mp``
     and ``ump`` equal what ``brute_force(art.instance, False)`` and
     ``brute_force(art.instance, True)`` return, and the first walk to run
