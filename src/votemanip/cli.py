@@ -11,9 +11,11 @@ interpreter's integer-string limit (``sys.get_int_max_str_digits()``,
 commands print, such as the scores ``evaluate`` prints or the weights of a
 reduced instance; a longer one is reported with its digit count.
 
-The library types the text builds check their own values.  Every error is
-one ``error: ...`` line on stderr.  Exit codes: 0 = yes/pass/success,
-1 = no/fail, 2 = usage or parse error, 3 = search budget exhausted.
+The parsers check only the grammar; the library types the text builds
+check their own values, and the instance checks witness ballots as it casts
+them.  Every error is one ``error: ...`` line on stderr.  Exit codes:
+0 = yes/pass/success, 1 = no/fail, 2 = usage or parse error, 3 = search
+budget exhausted.
 """
 
 from __future__ import annotations
@@ -32,7 +34,6 @@ from .core import (
     Order,
     ScoringVector,
     WeightedVote,
-    is_permutation,
     tally,
     unique_winner,
     winners,
@@ -248,7 +249,7 @@ def serialize_instance(inst: ManipulationInstance) -> str:
 
 
 def parse_witness(text: str, count: int, m: int) -> tuple[Order, ...]:
-    """Parse coalition ballots; every voter 1..count must appear once."""
+    """One ballot per voter 1..count, each an index then m candidates; the instance checks them."""
     ballots: dict[int, Order] = {}
     for lineno, tokens in _lines(text):
         if tokens[0] != "t-vote":
@@ -260,10 +261,7 @@ def parse_witness(text: str, count: int, m: int) -> tuple[Order, ...]:
             raise ParseError(lineno, f"coalition voter index {index} outside 1..{count}")
         if index in ballots:
             raise ParseError(lineno, f"duplicate ballot for coalition voter {index}")
-        order = tuple(_int(t, lineno, "ballot candidate") for t in tokens[2:])
-        if not is_permutation(order, m):
-            raise ParseError(lineno, f"ballot {order} is not a permutation of 1..{m}")
-        ballots[index] = order
+        ballots[index] = tuple(_int(t, lineno, "ballot candidate") for t in tokens[2:])
     if len(ballots) != count:
         raise ParseError(None, f"witness covers {len(ballots)} of {count} coalition voters")
     return tuple(ballots[i] for i in range(1, count + 1))
@@ -356,7 +354,7 @@ def _cmd_manipulate(args: argparse.Namespace) -> int:
     inst = parse_instance(_read(args.instance))
     answer = solve(inst, unique=args.unique, node_cap=args.cap)
     print("yes" if answer.decision else "no")
-    if answer.decision and answer.witness is not None:
+    if answer.decision:
         text = serialize_witness(answer.witness)
         sys.stdout.write(text)
         if args.witness_out:

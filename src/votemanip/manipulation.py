@@ -177,8 +177,9 @@ class _PreparedSearch:
     worked out once here: the vector's class, the vector shifted so its
     last entry is 0, what the fixed voters give each candidate on it
     (``base``, 0-based), p's index, the number of distinct score rows and
-    the per-voter bound tables.  The rows themselves and their weighted
-    gains are built one at a time, the first time a walk picks them, and
+    the per-voter bound tables and the row generator.  A generator runs
+    nothing until drawn, so each row and its weighted gains are built the
+    first time a walk picks it (a root the bounds cut builds none) and
     kept for later walks.  Each call of :meth:`answer` is its own walk,
     with its own budget, failed-state table, picks and stats, and
     re-tallies its own "yes".
@@ -195,7 +196,6 @@ class _PreparedSearch:
         base_table = tally(inst.s_voters, shifted)
         self.base = [base_table[c] for c in range(1, vec.m + 1)]
         self.p = inst.p - 1
-        self.pinned = restrict_p_first
         self.rows = _row_count(entries, restrict_p_first)
         weights = self.weights = list(inst.t_weights)
         n = len(weights)
@@ -218,13 +218,9 @@ class _PreparedSearch:
         self.ballots: list[Order] = []
         self.by_weight = {w: ([], []) for w in weights}
         self.gains = [self.by_weight[w] for w in weights]
-        self.next_ballot: Iterator[Order] | None = None
+        self.next_ballot = _row_ballots(entries, vec.m, inst.p if restrict_p_first else None)
 
     def _add_row(self) -> None:
-        # the generator is made on the first call, so a cut root builds no row
-        if self.next_ballot is None:
-            head = self.p + 1 if self.pinned else None
-            self.next_ballot = _row_ballots(self.entries, len(self.entries), head)
         ballot = next(self.next_ballot)
         self.ballots.append(ballot)
         p = self.p
@@ -254,9 +250,9 @@ class _PreparedSearch:
 
         Each coalition voter picks one distinct score row, cast by its
         lexicographically first ballot (see :func:`_row_ballots`; p is
-        pinned first when ``pinned``).  Voters are assigned left to right
-        and each tries rows in order, so the first winning assignment
-        reached is the lexicographically first one.  Row k is built the
+        pinned first under ``restrict_p_first``).  Voters are assigned left
+        to right and each tries rows in order, so the first winning
+        assignment reached is the lexicographically first one.  Row k is built the
         first time a voter picks it, and no voter picks it before one has
         picked row k-1, so the walk builds only the rows it reaches.  Every
         row is a permutation of ``entries``, so the bounds need only their

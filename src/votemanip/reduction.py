@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Set
+from typing import Iterable
 
 from .core import (
     ElectionError,
@@ -256,7 +256,7 @@ def build_equalizer_voters(
         for j in range(r):
             tail = padding[j:] + padding[:j]
             voters.append(WeightedVote(weight, tuple(head + tail)))
-    return _checked(voters)
+    return tuple(voters)
 
 
 def reduce_partition(alpha: ScoringVector, part: PartitionInstance) -> ReductionArtifact:
@@ -395,11 +395,13 @@ def verify_reduction(
     Both searches walk one preparation of the gadget (p pinned first):
     the vector's class, the shifted vector and the fixed voters' scores
     are worked out once, and each score row with its weighted gains is
-    built the first time either walk picks it.  Each walk keeps its own ``node_cap`` budget,
-    failed-state table and stats and re-tallies its own "yes", so ``mp``
-    and ``ump`` equal what ``brute_force(art.instance, False)`` and
-    ``brute_force(art.instance, True)`` return, and the first walk to run
-    out raises the same CapExhausted.
+    built the first time either walk picks it.  Each walk keeps its own
+    ``node_cap`` budget, failed-state table and stats and re-tallies its
+    own "yes", so ``mp`` and ``ump`` equal what ``brute_force`` returns
+    for each mode, and the first walk to run out raises the same
+    CapExhausted.  Each witness is its mode's lexicographically first win
+    and every unique win co-wins, so the two differ exactly when the
+    co-winner ballots only tie p (``extraction_from_tie``).
     """
     art = reduce_partition(alpha, part)
     subset = solve_partition(part)
@@ -419,8 +421,8 @@ def verify_reduction(
         assert mp.witness is not None
         extracted = frozenset(extract_witness(art, mp.witness))
         extracted_sum = sum(part.ks[i - 1] for i in extracted)
-        witness_votes = art.instance.profile(mp.witness)
-        from_tie = unique_winner(tally(witness_votes, art.instance.alpha)) != art.instance.p
+        # each witness is its mode's first win and unique wins co-win: they differ iff mp only ties
+        from_tie = ump.witness != mp.witness
 
     agree = (subset is not None) == mp.decision == ump.decision
     forward_ok = forward_unique is not False

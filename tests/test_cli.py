@@ -348,7 +348,6 @@ class TestWitnessFormat:
             ("t-vote 1 1 2\n", "needs an index and 3 candidates"),
             ("t-vote 3 1 2 3\n", "outside 1..2"),
             ("t-vote 1 1 2 3\nt-vote 1 1 3 2\n", "duplicate ballot"),
-            ("t-vote 1 1 1 2\n", "not a permutation"),
             ("t-vote 1 1 2 3\n", "covers 1 of 2"),
         ],
     )
@@ -708,18 +707,28 @@ class TestDispatcher:
             # a witness given for an instance without coalition voters is read
             (["evaluate", "{no_t}", "--witness", "/nonexistent/w.txt"], 2, "/nonexistent/w.txt"),
             (["evaluate", "{no_t}", "--witness", "{loser}"], 2, "index 1 outside 1..0"),
+            # the instance checks that witness ballots are permutations
+            (["evaluate", "{veto}", "--witness", "{repeat}"], 2, "not a permutation"),
+            (
+                ["extract-witness", "--alpha", "1 1 0", "--partition", "1 1"]
+                + ["--witness", "{repeat}"],
+                2,
+                "not a permutation",
+            ),
         ],
     )
     def test_every_error_is_one_line_with_its_exit_code(
         self, argv, code, fragment, tmp_path, capsys
     ):
         (tmp_path / "loser.txt").write_text(LOSING_WITNESS)
+        (tmp_path / "repeat.txt").write_text("t-vote 1 1 1 2\nt-vote 2 1 2 3\n")
         (tmp_path / "huge.txt").write_text(f"family borda {2**64}\np 1\n")
         (tmp_path / "no_t.txt").write_text("alpha 2 1 0\np 1\ns 1 1 2 3\n")
         paths = {
             "plurality": DATA / "plurality_race.txt",
             "veto": DATA / "veto_partition_1_1.txt",
             "loser": tmp_path / "loser.txt",
+            "repeat": tmp_path / "repeat.txt",
             "huge": tmp_path / "huge.txt",
             "no_t": tmp_path / "no_t.txt",
         }

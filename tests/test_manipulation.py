@@ -463,6 +463,7 @@ class TestRootCut:
 
         def refuse(*args):
             raise AssertionError("score rows built for a root the bounds cut")
+            yield  # a generator: only drawing a row fails
 
         monkeypatch.setattr(manipulation, "_row_ballots", refuse)
         for restrict, rows in ((True, math.factorial(m - 1)), (False, math.factorial(m))):

@@ -28,9 +28,10 @@ from votemanip import (
     reduce_partition,
     solve_partition,
     tally,
+    unique_winner,
     verify_reduction,
 )
-from helpers import exhaustive_partition, random_nonincreasing
+from helpers import exhaustive_partition, random_instance, random_nonincreasing
 
 SV = ScoringVector
 PI = PartitionInstance
@@ -460,36 +461,75 @@ class TestVerifySharesOneSearch:
             assert same_cap(shared.value, lone.value), (alpha, part)
 
     def count_row_builds(self, monkeypatch):
-        calls = []
+        # one list per row generator made, holding the rows drawn from it
+        drawn = []
         build = manipulation._row_ballots
 
         def counted(*args):
-            calls.append(args)
-            return build(*args)
+            rows = []
+            drawn.append(rows)
+            for ballot in build(*args):
+                rows.append(ballot)
+                yield ballot
 
         monkeypatch.setattr(manipulation, "_row_ballots", counted)
-        return calls
+        return drawn
 
     @pytest.mark.parametrize(
         "entries,ks",
         [((5, 4, 3, 2, 1), (3, 5, 2, 4)), ((5, 4, 3, 2, 1), (1, 1, 4)), ((1, 1, 0, 0), (2, 2))],
     )
     def test_rows_built_once_when_a_root_survives(self, monkeypatch, entries, ks):
-        calls = self.count_row_builds(monkeypatch)
+        drawn = self.count_row_builds(monkeypatch)
         report = verify_reduction(SV(entries), PI(ks))
         assert report.passed and report.mp.stats.deepest > 0
-        assert len(calls) == 1
+        assert sum(map(bool, drawn)) == 1
 
     @pytest.mark.parametrize("entries,ks", [((2, 1, 0), (6,)), ((1, 1, 1, 1, 0), (48,))])
     def test_no_rows_when_both_roots_are_cut(self, monkeypatch, entries, ks):
         # one coalition voter that cannot split a single integer: the
         # last-voter test cuts the root in both winner modes
-        calls = self.count_row_builds(monkeypatch)
+        drawn = self.count_row_builds(monkeypatch)
         report = verify_reduction(SV(entries), PI(ks))
         assert report.passed and not report.mp.decision
         for answer in (report.mp, report.ump):
             assert answer.stats.terminals == answer.stats.pairing == 1
-        assert calls == []
+        assert not any(drawn)
+
+
+def only_ties(inst, witness):
+    """Re-tally: p wins under ``witness`` but is not the unique winner."""
+    return unique_winner(tally(inst.profile(witness), inst.alpha)) != inst.p
+
+
+class TestExtractionFromTie:
+    """The walks' witnesses differ exactly when the co-winner ballots only tie p."""
+
+    def test_witnesses_differ_iff_p_only_ties(self):
+        rng = random.Random(14)
+        yes = ties = 0
+        for trial in range(1500):
+            restrict = trial % 2 == 0
+            # small entries and weights tie often
+            alpha = random_nonincreasing(rng, rng.randint(1, 5), lo=-2, hi=3)
+            i = random_instance(rng, alpha, max_coalition=4, max_weight=3)
+            mp = brute_force(i, False, restrict_p_first=restrict)
+            if not mp.decision:
+                continue
+            ump = brute_force(i, True, restrict_p_first=restrict)
+            tie = only_ties(i, mp.witness)
+            assert (ump.witness != mp.witness) == tie, (i, restrict)
+            yes += 1
+            ties += tie
+        assert yes >= 1000 and ties >= 250, (yes, ties)
+
+    def test_gadget_reports_match_a_retally(self):
+        rng = random.Random(15)
+        for _ in range(150):
+            report = verify_reduction(*random_gadget_inputs(rng, yes=True))
+            assert report.mp.decision
+            tie = only_ties(report.artifact.instance, report.mp.witness)
+            assert report.extraction_from_tie == tie
 
 
 class TestWideReduction:
