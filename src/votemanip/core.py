@@ -14,6 +14,7 @@ raises InvalidInstance listing every problem at once.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
@@ -171,20 +172,40 @@ def tally(votes: Iterable[WeightedVote], alpha: ScoringVector) -> ScoreTable:
     every position.  The profile is scored per distinct ballot: weights
     are summed per order first, then each order is scored once with its
     total weight, which is exact because scores are linear in weight.
-    Raises DimensionMismatch when a ballot's length differs from
-    ``alpha.m``; ballots are otherwise assumed valid.
+
+    Only positions outside the vector's longest run ``[lo, hi)`` of equal
+    entries ``b`` (the first such run on ties) are visited: every
+    candidate starts at ``b * W``, W the total weight, and each order of
+    weight w adds ``w * (entries[pos] - b)`` at the other positions.  This
+    is the integer identity sum(w * a_pos) = b * W + sum(w * (a_pos - b)),
+    whose terms vanish inside the run, so a distinct ballot costs m - L
+    additions for a run of length L: 1 for plurality and veto, k for
+    k-approval with k <= m/2, 0 for an all-equal vector, m - 1 for Borda.
+
+    Ballots must be permutations of 1..m, and only their length is
+    checked: DimensionMismatch names the first distinct ballot whose
+    length differs from ``alpha.m``, before anything is scored.
     """
     m = alpha.m
     entries = alpha.entries
     totals: dict[Order, int] = {}
     for vote in votes:
         totals[vote.order] = totals.get(vote.order, 0) + vote.weight
-    scores: ScoreTable = dict.fromkeys(range(1, m + 1), 0)
-    for order, w in totals.items():
+    for order in totals:
         if len(order) != m:
             raise DimensionMismatch(f"ballot has {len(order)} positions, scoring vector has {m}")
-        for position, candidate in enumerate(order):
-            scores[candidate] += w * entries[position]
+    lo = hi = start = 0
+    for _, run in itertools.groupby(entries):
+        end = start + len(list(run))
+        if end - start > hi - lo:
+            lo, hi = start, end
+        start = end
+    b = entries[lo]
+    scores: ScoreTable = dict.fromkeys(range(1, m + 1), b * sum(totals.values()))
+    for pos in itertools.chain(range(lo), range(hi, m)):
+        gap = entries[pos] - b
+        for order, w in totals.items():
+            scores[order[pos]] += w * gap
     return scores
 
 

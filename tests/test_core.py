@@ -137,6 +137,55 @@ class TestTally:
         unit = tally((V(1, order),), alpha)
         assert bulk == {c: w * s for c, s in unit.items()}
 
+    @pytest.mark.parametrize("m", range(1, 11))
+    def test_run_shaped_vectors_match_naive_oracle(self, m):
+        # vectors whose longest run of equal entries sits everywhere it can
+        half = m // 2
+        vectors = [
+            (5,) * m,  # all equal: one run covers every position
+            (1,) + (0,) * (m - 1),  # plurality-like
+            (1,) * (m - 1) + (0,),  # veto
+            *((1,) * k + (0,) * (m - k) for k in {half, half + 1, m - half - 1} if 0 < k < m),
+            (7,) * half + (-3,) * half + (-9,) * (m % 2),  # two runs of equal length
+            tuple(-i * i for i in range(m)),  # negative, no two entries equal
+            (0,) + (-4,) * (m - 1),
+            tuple(range(m, 0, -1)),  # Borda
+        ]
+        rng = random.Random(m)
+        for entries in vectors:
+            alpha = ScoringVector(entries)
+            for _ in range(4):
+                pool = [random_order(rng, m) for _ in range(rng.randint(1, 6))]
+                votes = tuple(
+                    V(rng.choice((1, rng.randint(2**64, 2**70))), rng.choice(pool))
+                    for _ in range(rng.randint(0, 25))
+                )
+                expected = naive_tally(votes, alpha)
+                assert tally(votes, alpha) == expected, entries
+                # a one-shot generator is read once and gives the same table
+                assert tally((vote for vote in votes), alpha) == expected, entries
+
+    def test_wrong_length_found_wherever_it_sits(self):
+        msg = "^ballot has 3 positions, scoring vector has 4$"
+        good = [V(2**65, (1, 2, 3, 4)), V(3, (4, 3, 2, 1))]
+        short = V(1, (2, 1, 3))
+        placements = (
+            [short, *good],
+            [good[0], short, good[1]],
+            [*good, *good, good[0], short],  # last, after repeats
+        )
+        # the longest run at the front, covering every position, and of length one
+        for entries in ((1, 1, 0, 0), (3, 3, 3, 3), (4, 3, 2, 1)):
+            for votes in placements:
+                with pytest.raises(DimensionMismatch, match=msg):
+                    tally(votes, ScoringVector(entries))
+                with pytest.raises(DimensionMismatch, match=msg):
+                    tally(iter(votes), ScoringVector(entries))
+            # two wrong lengths: the first distinct one is named
+            votes = [good[0], V(1, (1, 2, 3, 4, 5)), short]
+            with pytest.raises(DimensionMismatch, match="ballot has 5 positions"):
+                tally(votes, ScoringVector(entries))
+
 
 class TestWinners:
     def test_unique(self):
