@@ -189,8 +189,6 @@ def parse_instance(text: str) -> ManipulationInstance:
             if alpha is not None:
                 raise ParseError(lineno, "duplicate scoring-rule directive")
             if keyword == "alpha":
-                if len(tokens) < 2:
-                    raise ParseError(lineno, "alpha needs at least one entry")
                 alpha = _vector(tokens[1:], lineno, "alpha entry")
             else:
                 if len(tokens) != 3:

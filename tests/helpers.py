@@ -208,8 +208,6 @@ def reference_parse_instance(text):
             if alpha is not None:
                 raise ParseError(lineno, "duplicate scoring-rule directive")
             if keyword == "alpha":
-                if len(tokens) < 2:
-                    raise ParseError(lineno, "alpha needs at least one entry")
                 alpha = _vector(tokens[1:], lineno, "alpha entry")
             else:
                 if len(tokens) != 3:

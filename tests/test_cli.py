@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import sys
 from pathlib import Path
@@ -14,6 +15,7 @@ from votemanip import (
     WeightedVote,
     forward_witness,
     reduce_partition,
+    verify_reduction,
 )
 from votemanip.cli import (
     ParseError,
@@ -95,7 +97,7 @@ class TestParseInstance:
             ("alpha 1 0\n", None, "missing p"),
             ("alpha 1 0\nalpha 1 0\np 1\n", 2, "duplicate scoring-rule"),
             ("alpha 1 0\np 1\np 2\n", 3, "duplicate p"),
-            ("alpha\np 1\n", 1, "at least one entry"),
+            ("alpha\np 1\n", 1, "scoring vector is empty"),
             ("alpha 1 x\np 1\n", 1, "integer"),
             ("alpha 1 0\np 1 2\n", 2, "exactly one"),
             ("alpha 1 0\np 1\ns 3\n", 3, "weight and a full ballot"),
@@ -651,6 +653,16 @@ class TestVerifyCommand:
 
     def test_odd_total(self, capsys):
         assert run_command(["verify", "--alpha", "1 1 0", "--partition", "3"]) == 2
+
+    def test_extraction_from_tie_line(self, capsys, monkeypatch):
+        # no gadget tried so far sets the flag, so a real yes report is given it
+        report = verify_reduction(ScoringVector((1, 1, 0)), PartitionInstance((1, 1)))
+        tied = dataclasses.replace(report, extraction_from_tie=True)
+        monkeypatch.setattr("votemanip.cli.verify_reduction", lambda *args, **kwargs: tied)
+        assert run_command(["verify", "--alpha", "1 1 0", "--partition", "1 1"]) == 0
+        assert capsys.readouterr().out.endswith(
+            "extracted-sum 1\nextraction-from-tie yes\nverdict pass\n"
+        )
 
 
 class TestDispatcher:
