@@ -253,16 +253,9 @@ def require_valid(inst: ManipulationInstance) -> None:
         )
     voters = inst.s_voters
     bad = set(_non_permutations([vote.order for vote in voters], m))
-    # one pass finds the voters with a bad weight or ballot; only those get issues
-    flagged = [
-        i
-        for i, vote in enumerate(voters)
-        if not (isinstance(w := vote.weight, int) and w >= 1) or i in bad
-    ]
-    for i in flagged:
-        vote = voters[i]
-        if not _is_weight(vote.weight):
-            issues.append(_weight_issue(f"s[{i + 1}]", vote.weight))
+    for i, vote in enumerate(voters):
+        if not (isinstance(w := vote.weight, int) and w >= 1):
+            issues.append(_weight_issue(f"s[{i + 1}]", w))
         if i in bad:
             issues.append(
                 ValidationIssue(

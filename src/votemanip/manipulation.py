@@ -199,13 +199,14 @@ class _PreparedSearch:
         self.rows = _row_count(entries, restrict_p_first)
         weights = self.weights = list(inst.t_weights)
         n = len(weights)
-        ascending = sorted(entries)
-        self.top = ascending[-1]
-        self.lower = ascending[:-1]  # what the rivals share when p takes the top
-        # lows[k-1] = L_k; with a flat tail every L_k is 0 and the monotone
-        # bound implies the capacity and pairing tests
+        # entries are nonincreasing, so lower ascends: what the rivals share when p takes the top
+        self.top = entries[0]
+        self.lower = entries[:0:-1]
+        # lows[k-1] = L_k.  The capacity and pairing tests run on hard vectors,
+        # as classify reports them; an easy vector's tail is flat, so every
+        # L_k is 0 and the monotone bound implies both tests
         self.lows = list(itertools.accumulate(self.lower))
-        self.capacity_on = bool(self.lows) and self.lows[-1] > 0
+        self.capacity_on = dc.tag is RuleClass.HARD
         slack = self.slack = [0] * (n + 1)  # the most p can still gain from voters i..n-1: top * R
         for i in range(n - 1, -1, -1):
             slack[i] = slack[i + 1] + weights[i] * self.top
@@ -290,8 +291,9 @@ class _PreparedSearch:
           when their weights are equal, since swapping their picks changes
           no score and only the nondecreasing order can come first.
 
-        The capacity and pairing tests only matter when some entry below the
-        top is above 0, and the table only when there are several rows; the
+        The capacity and pairing tests run on hard vectors, as classify
+        reports them, the only ones with a shifted entry above 0 below the
+        top, and the table only when there are several rows; the
         one-row walk of an easy vector runs none of them.  A free last voter
         that passes the pairing (or, with a flat tail, the monotone) test
         always wins, so the table skips the last level.

@@ -84,31 +84,28 @@ class PartitionInstance:
 
 @dataclass(frozen=True)
 class RoleMap:
-    """Fixed candidate numbering for reduction instances.
+    """The one owner of the reduction's candidate numbering.
 
     p=1 (preferred), a=2 and b=3 (the pair whose coalition split encodes
     the subset), then ``ell`` cycle candidates c1.. and ``r`` padding
-    candidates d1.., so m = ell + r + 3.
+    candidates d1.., so m = ell + r + 3.  Raises ValueError unless ``ell``
+    and ``r`` are both an ``int`` >= 0.
     """
 
     ell: int
     r: int
+    p = 1
+    a = 2
+    b = 3
+
+    def __post_init__(self) -> None:
+        for name, size in (("ell", self.ell), ("r", self.r)):
+            if not isinstance(size, int) or size < 0:
+                raise ValueError(f"{name} must be an integer >= 0, got {size!r}")
 
     @property
     def m(self) -> int:
         return self.ell + self.r + 3
-
-    @property
-    def p(self) -> int:
-        return 1
-
-    @property
-    def a(self) -> int:
-        return 2
-
-    @property
-    def b(self) -> int:
-        return 3
 
     def c(self, i: int) -> int:
         if not 1 <= i <= self.ell:
@@ -129,17 +126,12 @@ class RoleMap:
         return tuple(range(4 + self.ell, 4 + self.ell + self.r))
 
     def role_name(self, candidate: int) -> str:
-        if candidate == 1:
-            return "p"
-        if candidate == 2:
-            return "a"
-        if candidate == 3:
-            return "b"
-        if 4 <= candidate <= 3 + self.ell:
-            return f"c{candidate - 3}"
-        if 3 + self.ell < candidate <= self.m:
-            return f"d{candidate - 3 - self.ell}"
-        raise IndexError(f"candidate {candidate} outside 1..{self.m}")
+        if not 1 <= candidate <= self.m:
+            raise IndexError(f"candidate {candidate} outside 1..{self.m}")
+        i = candidate - 3  # the cycle and padding candidates' offset
+        if i < 1:
+            return ("p", "a", "b")[candidate - 1]
+        return f"c{i}" if i <= self.ell else f"d{i - self.ell}"
 
 
 class GadgetCase(Enum):
@@ -169,11 +161,15 @@ class ReductionArtifact:
     source: PartitionInstance
 
 
-def _checked(voters: list[WeightedVote]) -> tuple[WeightedVote, ...]:
-    for v in voters:
-        if v.weight < 1:
-            raise ElectionError(f"internal error: generated weight {v.weight} is below 1")
-    return tuple(voters)
+def _role_map(alpha_norm: ScoringVector, ell: int, r: int) -> RoleMap:
+    """The gadget's numbering, once ``hardness_params`` gives back all three inputs."""
+    norm, want_ell, want_r = hardness_params(alpha_norm)
+    if (alpha_norm, ell, r) != (norm, want_ell, want_r):
+        raise ElectionError(
+            f"gadget input {alpha_norm.entries}, ell={ell!r}, r={r!r} does not match "
+            f"the normalized vector {norm.entries}, ell={want_ell}, r={want_r}"
+        )
+    return RoleMap(ell, r)
 
 
 def build_core_voters(
@@ -191,19 +187,24 @@ def build_core_voters(
     positions only.  The single-c case (exactly one cycle candidate) uses
     weights 3*target*(2*a1 - ar2) - 1 and 3*a1*target - 1 over eight
     ballots instead, which also lifts p itself to one six-block weight
-    times (a1 + ar2).
+    times (a1 + ar2).  Raises NotHard for an easy vector, and ElectionError
+    for any other vector or sizes that do not match or a ``target`` that is
+    not an ``int`` >= 1; past these checks a1 >= ar2 >= 1, so every weight
+    is >= 1.
     """
+    rm = _role_map(alpha_norm, ell, r)
+    if not (isinstance(target, int) and target >= 1):
+        raise ElectionError(f"target must be an integer >= 1, got {target!r}")
     e = alpha_norm.entries
     a1 = e[0]
     ar2 = e[r + 1]
-    rm = RoleMap(ell, r)
-    ds = list(rm.ds)
-    voters: list[WeightedVote] = []
+    ds, cs = rm.ds, rm.cs
+    w_ab = (2 if ell != 1 else 3) * target * (2 * a1 - ar2) - 1
+    voters = [
+        WeightedVote(w_ab, (rm.a, *ds, rm.b, rm.p, *cs)),
+        WeightedVote(w_ab, (rm.b, *ds, rm.a, rm.p, *cs)),
+    ]
     if ell != 1:
-        w_ab = 2 * target * (2 * a1 - ar2) - 1
-        cs = list(rm.cs)
-        voters.append(WeightedVote(w_ab, tuple([rm.a, *ds, rm.b, rm.p, *cs])))
-        voters.append(WeightedVote(w_ab, tuple([rm.b, *ds, rm.a, rm.p, *cs])))
         w_c = 4 * a1 * target - 1
         for i in range(1, ell + 1):
             partner = rm.c(1 + (i % ell))
@@ -211,10 +212,7 @@ def build_core_voters(
             rest = [c for c in range(1, rm.m + 1) if c not in head]
             voters.append(WeightedVote(w_c, tuple(head + rest)))
     else:
-        w_ab = 3 * target * (2 * a1 - ar2) - 1
         c1 = rm.c(1)
-        voters.append(WeightedVote(w_ab, tuple([rm.a, *ds, rm.b, rm.p, c1])))
-        voters.append(WeightedVote(w_ab, tuple([rm.b, *ds, rm.a, rm.p, c1])))
         w_six = 3 * a1 * target - 1
         six = (
             (c1, rm.a, rm.b, rm.p),
@@ -226,7 +224,7 @@ def build_core_voters(
         )
         for first, second, third, fourth in six:
             voters.append(WeightedVote(w_six, tuple([first, *ds, second, third, fourth])))
-    return _checked(voters)
+    return tuple(voters)
 
 
 def build_equalizer_voters(
@@ -241,13 +239,15 @@ def build_equalizer_voters(
     (ell+3)*r ballots.  Every leader then gains r*weight*(sum of the top
     ell+3 entries) while every padding candidate gains (ell+3)*weight*(sum
     of the rest), which on a normalized hard vector trails the leaders by
-    more than one full weight.
+    more than one full weight.  Checks ``alpha_norm``, ``ell`` and ``r``
+    as :func:`build_core_voters` does, and ``weight``, read only with
+    padding, must then be an ``int`` >= 1 (ElectionError otherwise).
     """
+    rm = _role_map(alpha_norm, ell, r)
     if r == 0:
         return ()
-    if weight < 1:
-        raise ElectionError(f"equalizer weight must be >= 1, got {weight}")
-    rm = RoleMap(ell, r)
+    if not (isinstance(weight, int) and weight >= 1):
+        raise ElectionError(f"equalizer weight must be an integer >= 1, got {weight!r}")
     leaders = [rm.a, rm.b, rm.p, *rm.cs]
     padding = list(rm.ds)
     voters = []
@@ -275,15 +275,13 @@ def reduce_partition(alpha: ScoringVector, part: PartitionInstance) -> Reduction
     target = part.target
     rm = RoleMap(ell, r)
     core = build_core_voters(norm, ell, r, target)
+    eq_weight = 0
     if r > 0:
         d1_score = tally(core, norm)[rm.d(1)]
         # The strict leader margin needs one extra point in the general
         # case; the single-c core already keeps p strictly ahead on its own.
         eq_weight = d1_score + 1 if ell != 1 else d1_score
-        equalizers = build_equalizer_voters(norm, ell, r, eq_weight)
-    else:
-        eq_weight = 0
-        equalizers = ()
+    equalizers = build_equalizer_voters(norm, ell, r, eq_weight)
     a1 = norm.entries[0]
     ar2 = norm.entries[r + 1]
     t_unit = (2 if ell != 1 else 3) * (a1 + ar2)

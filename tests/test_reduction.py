@@ -93,6 +93,21 @@ class TestRoleMap:
         assert names == ["p", "a", "b", "c1", "d1", "d2"]
         with pytest.raises(IndexError):
             rm.role_name(7)
+        for ell in range(6):
+            for r in range(6):
+                rm = RoleMap(ell, r)
+                expected = ["p", "a", "b"]
+                expected += [f"c{i}" for i in range(1, ell + 1)]
+                expected += [f"d{j}" for j in range(1, r + 1)]
+                assert [rm.role_name(c) for c in range(1, rm.m + 1)] == expected
+                for outside in (0, -1, rm.m + 1):
+                    with pytest.raises(IndexError, match=f"candidate {outside} outside 1..{rm.m}"):
+                        rm.role_name(outside)
+
+    @pytest.mark.parametrize("ell,r", [(-1, 0), (0, -2), (1.5, 0), (0, "1")])
+    def test_sizes_must_be_nonnegative_integers(self, ell, r):
+        with pytest.raises(ValueError, match="must be an integer >= 0"):
+            RoleMap(ell, r)
 
 
 class TestSolvePartition:
@@ -183,6 +198,22 @@ class TestCoreVoters:
         scores = tally(core, SV((1, 1, 0, 0)))
         assert scores == {1: 10, 2: 20, 3: 20, 4: 30}
 
+    @pytest.mark.parametrize(
+        "entries,ell,r,target,error,match",
+        [
+            # unchecked, ell=5 would give ballots over 8 candidates for a 4-entry vector
+            ((3, 2, 1, 0), 5, 0, 1, ElectionError, "ell=5, r=0 does not match"),
+            ((3, 2, 1, 0), 0, 7, 1, ElectionError, "ell=0, r=7 does not match"),
+            ((4, 3, 2, 1), 0, 1, 1, ElectionError, r"normalized vector \(3, 2, 1, 0\)"),
+            ((3, 2, 1, 0), 0, 1, 1.5, ElectionError, "target must be an integer >= 1, got 1.5"),
+            ((3, 2, 1, 0), 0, 1, 0, ElectionError, "target must be an integer >= 1, got 0"),
+            ((1, 0, 0), 0, 0, 1, NotHard, "PluralityLike"),
+        ],
+    )
+    def test_rejects_input_that_does_not_match(self, entries, ell, r, target, error, match):
+        with pytest.raises(error, match=match):
+            build_core_voters(SV(entries), ell, r, target)
+
 
 class TestEqualizerVoters:
     def test_frozen_rotation_block(self):
@@ -220,6 +251,20 @@ class TestEqualizerVoters:
     def test_weight_must_be_positive(self):
         with pytest.raises(ElectionError):
             build_equalizer_voters(SV((3, 2, 1, 0)), 0, 1, 0)
+
+    @pytest.mark.parametrize(
+        "entries,ell,r,weight,error,match",
+        [
+            ((3, 2, 1, 0), 3, 2, 5, ElectionError, "ell=3, r=2 does not match"),
+            ((3, 2, 1, 0), 0, 0, 1, ElectionError, "ell=0, r=0 does not match"),
+            ((4, 3, 2, 1), 0, 1, 5, ElectionError, "normalized vector"),
+            ((3, 2, 1, 0), 0, 1, 1.5, ElectionError, "integer >= 1, got 1.5"),
+            ((1, 1, 1), 0, 0, 1, NotHard, "AllEqual"),
+        ],
+    )
+    def test_rejects_input_that_does_not_match(self, entries, ell, r, weight, error, match):
+        with pytest.raises(error, match=match):
+            build_equalizer_voters(SV(entries), ell, r, weight)
 
 
 class TestReducePartition:
