@@ -265,14 +265,10 @@ def require_valid(inst: ManipulationInstance) -> None:
                 )
             )
     for i, w in enumerate(inst.t_weights, start=1):
-        if not _is_weight(w):
+        if not (isinstance(w, int) and w >= 1):
             issues.append(_weight_issue(f"t[{i}]", w))
     if issues:
         raise InvalidInstance(issues)
-
-
-def _is_weight(w: object) -> bool:
-    return isinstance(w, int) and w >= 1
 
 
 def _weight_issue(where: str, w: object) -> ValidationIssue:

@@ -3,12 +3,12 @@ named vector families (plurality, Borda, veto, k-approval, ...).
 
 Coalition manipulation under a nonincreasing integer vector is polynomial
 exactly when all entries below the top one are equal; any other shape is
-hard.  Hard vectors get two gadget sizes read off their normalized form
-(last entry shifted to zero): ``ell`` is one less than the number of zero
-entries and ``r = m - ell - 3`` counts the positions between the runner-up
-block and the zeros.  Shifting all entries by a constant or scaling them
-by a positive factor never changes winners, which is what makes the
-normalization harmless.
+hard.  Hard vectors get two gadget sizes counted off their entries:
+``ell`` is one less than the number of entries equal to the last one, and
+``r = m - ell - 3`` counts the positions between the runner-up block and
+that last block.  Shifting all entries by a constant or scaling them by a
+positive factor never changes winners or these counts, which is what makes
+the normalized form (last entry shifted to zero) harmless.
 """
 
 from __future__ import annotations
@@ -44,10 +44,10 @@ class RuleClass(Enum):
 
 @dataclass(frozen=True)
 class DichotomyClass:
-    """Complexity class of a vector, with gadget sizes when hard."""
+    """Complexity class of a vector, with gadget sizes when hard.  Hard
+    classes with equal sizes are equal; :func:`hardness_params` normalizes."""
 
     tag: RuleClass
-    normalized: ScoringVector | None = None
     ell: int | None = None
     r: int | None = None
 
@@ -69,8 +69,9 @@ def scale(alpha: ScoringVector, k: int) -> ScoringVector:
 
 
 def normalize_last_zero(alpha: ScoringVector) -> ScoringVector:
-    """Shift so the last (smallest) entry becomes 0."""
-    return shift(alpha, -alpha.entries[-1])
+    """Shift so the last (smallest) entry becomes 0.  A vector already
+    ending in 0 is its own normal form and comes back as itself."""
+    return shift(alpha, -alpha.entries[-1]) if alpha.entries[-1] else alpha
 
 
 def classify(alpha: ScoringVector) -> DichotomyClass:
@@ -80,7 +81,8 @@ def classify(alpha: ScoringVector) -> DichotomyClass:
     PluralityLike: top entry strictly above an otherwise constant tail;
     winner-equivalent to plurality after shift/scale.
     Hard: the tail takes at least two distinct values; the result carries
-    the normalized vector and the gadget sizes (ell, r).
+    the gadget sizes, counted off the entries as they are: ell + 1 entries
+    equal the last one, and r = m - ell - 3.  No vector is built.
     """
     entries = alpha.entries
     tail = set(entries[1:])
@@ -88,24 +90,23 @@ def classify(alpha: ScoringVector) -> DichotomyClass:
         if not tail or entries[0] in tail:
             return DichotomyClass(RuleClass.ALL_EQUAL)
         return DichotomyClass(RuleClass.PLURALITY_LIKE)
-    norm = normalize_last_zero(alpha)
-    ell = norm.entries.count(0) - 1
-    r = alpha.m - ell - 3
-    return DichotomyClass(RuleClass.HARD, normalized=norm, ell=ell, r=r)
+    ell = entries.count(entries[-1]) - 1
+    return DichotomyClass(RuleClass.HARD, ell=ell, r=len(entries) - ell - 3)
 
 
 def hardness_params(alpha: ScoringVector) -> tuple[ScoringVector, int, int]:
     """Normalized vector and gadget sizes ``(ell, r)`` of a hard vector.
 
-    A hard vector always satisfies ``m = ell + r + 3`` with the
-    normalized entry at position r+2 still nonzero.  Raises NotHard for
-    all-equal or plurality-like vectors.
+    The normalized vector is ``normalize_last_zero(alpha)``: ``alpha``
+    itself when it ends in 0.  A hard vector always satisfies
+    ``m = ell + r + 3`` with the normalized entry at position r+2 still
+    nonzero.  Raises NotHard for all-equal or plurality-like vectors.
     """
     dc = classify(alpha)
     if dc.tag is not RuleClass.HARD:
         raise NotHard(f"{alpha.entries} is {dc.tag.value}; no gadget parameters exist")
-    assert dc.normalized is not None and dc.ell is not None and dc.r is not None
-    return dc.normalized, dc.ell, dc.r
+    assert dc.ell is not None and dc.r is not None
+    return normalize_last_zero(alpha), dc.ell, dc.r
 
 
 _KINDS = ("plurality", "borda", "veto", "k-approval", "half-approval", "constant", "explicit")

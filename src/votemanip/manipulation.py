@@ -12,10 +12,10 @@ re-evaluated before being returned.
 
 A search is prepared once per instance and ``restrict_p_first`` setting,
 then walked once per question.  The walks share the vector's class, the
-shifted vector, the fixed voters' scores, the row count, the bound tables
-and the score rows with their weighted gains, each row built the first
-time a walk picks it.  Each walk keeps its own budget, failed-state
-table, picks and stats, and re-tallies its own "yes".
+shifted vector (the instance's own when it ends in 0), the fixed voters'
+scores, the row count, the bound tables and the score rows with their
+weighted gains, each built when a walk first picks it.  Each walk has its
+own budget, failed-state table, picks and stats, and re-tallies its "yes".
 :func:`brute_force` prepares and walks once; ``reduction.verify_reduction``
 walks one preparation for both winner modes.
 """
@@ -175,13 +175,14 @@ class _PreparedSearch:
 
     Everything that does not depend on the winner mode or the budget is
     worked out once here: the vector's class, the vector shifted so its
-    last entry is 0, what the fixed voters give each candidate on it
-    (``base``, 0-based), p's index, the number of distinct score rows and
-    the per-voter bound tables and the row generator.  A generator runs
-    nothing until drawn, so each row and its weighted gains are built the
-    first time a walk picks it (a root the bounds cut builds none) and
-    kept for later walks.  Each call of :meth:`answer` is its own walk,
-    with its own budget, failed-state table, picks and stats, and
+    last entry is 0 (the vector itself when it ends in 0, as veto,
+    k-approval and every gadget do), what the fixed voters give each
+    candidate on it (``base``, 0-based), p's index, the number of distinct
+    score rows, the per-voter bound tables and the row generator.  A
+    generator runs nothing until drawn, so each row and its weighted gains
+    are built the first time a walk picks it (a root the bounds cut builds
+    none) and kept for later walks.  Each call of :meth:`answer` is its own
+    walk, with its own budget, failed-state table, picks and stats, and
     re-tallies its own "yes".
     """
 
@@ -190,8 +191,7 @@ class _PreparedSearch:
         dc = classify(vec)
         self.inst = inst
         self.mode = MODES[dc.tag]
-        # a hard vector's class already holds the shifted vector
-        shifted = dc.normalized if dc.normalized is not None else normalize_last_zero(vec)
+        shifted = normalize_last_zero(vec)
         entries = self.entries = shifted.entries
         base_table = tally(inst.s_voters, shifted)
         self.base = [base_table[c] for c in range(1, vec.m + 1)]

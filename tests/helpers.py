@@ -44,6 +44,19 @@ def random_plurality_like(rng, max_m=4):
     return ScoringVector((top,) + (tail,) * (m - 1))
 
 
+def count_vector_builds(monkeypatch):
+    """Record the entries of every ScoringVector built from here on."""
+    built = []
+    check = ScoringVector.__post_init__
+
+    def counted(self):
+        built.append(self.entries)
+        check(self)
+
+    monkeypatch.setattr(ScoringVector, "__post_init__", counted)
+    return built
+
+
 def random_instance(rng, alpha, max_voters=4, max_coalition=3, max_weight=20):
     m = alpha.m
     s_voters = random_profile(rng, m, rng.randint(0, max_voters), max_weight)

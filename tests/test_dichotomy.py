@@ -24,7 +24,7 @@ from votemanip import (
     tally,
     winners,
 )
-from helpers import random_nonincreasing, random_profile
+from helpers import count_vector_builds, random_nonincreasing, random_profile
 
 SV = ScoringVector
 
@@ -61,6 +61,16 @@ class TestShiftScale:
 
     @given(st.data())
     @settings(max_examples=80, deadline=None)
+    def test_normalized_vector_is_its_own_normal_form(self, data):
+        rng = random.Random(data.draw(st.integers(0, 2**32)))
+        alpha = random_nonincreasing(rng, rng.randint(1, 7))
+        norm = normalize_last_zero(alpha)
+        assert norm.entries[-1] == 0
+        assert normalize_last_zero(norm) is norm
+        assert (normalize_last_zero(alpha) is alpha) == (alpha.entries[-1] == 0)
+
+    @given(st.data())
+    @settings(max_examples=80, deadline=None)
     def test_winners_invariant_and_shift_bookkeeping(self, data):
         rng = random.Random(data.draw(st.integers(0, 2**32)))
         m = rng.randint(1, 5)
@@ -93,7 +103,10 @@ class TestClassify:
     def test_plurality_like(self, entries):
         dc = classify(SV(entries))
         assert dc.tag is RuleClass.PLURALITY_LIKE
-        assert dc.normalized is None and dc.ell is None and dc.r is None
+        assert dc.ell is None and dc.r is None
+        # no gadget, so no normalized vector either
+        with pytest.raises(NotHard):
+            hardness_params(SV(entries))
 
     @pytest.mark.parametrize(
         "entries,norm,ell,r",
@@ -112,13 +125,25 @@ class TestClassify:
     def test_hard_with_params(self, entries, norm, ell, r):
         dc = classify(SV(entries))
         assert dc.tag is RuleClass.HARD
-        assert dc.normalized.entries == norm
+        normalized = hardness_params(SV(entries))[0]
+        assert normalized.entries == norm
         assert (dc.ell, dc.r) == (ell, r)
         # structural identities every hard vector satisfies
         m = len(entries)
         assert m == ell + r + 3
-        assert dc.normalized.entries[-1] == 0
-        assert dc.normalized.entries[r + 1] >= 1  # entry before the zero block
+        assert normalized.entries[-1] == 0
+        assert normalized.entries[r + 1] >= 1  # entry before the zero block
+
+    @pytest.mark.parametrize(
+        "entries",
+        [(3, 3, 3), (-1, -1), (5, 2, 2, 2), (1, 0, 0), (1, 1, 0), (3, 2, 1), (5, 4, 3, 1, 1)],
+    )
+    def test_classify_builds_no_vector(self, monkeypatch, entries):
+        # the class and gadget sizes are counted off the entries as given
+        alpha = SV(entries)
+        built = count_vector_builds(monkeypatch)
+        classify(alpha)
+        assert built == []
 
     def test_hardness_params_passthrough(self):
         norm, ell, r = hardness_params(SV((4, 4, 3, 1)))
@@ -146,6 +171,9 @@ class TestClassify:
             assert (scaled.ell, scaled.r) == (base.ell, base.r)
             shifted = classify(shift(alpha, k))
             assert (shifted.ell, shifted.r) == (base.ell, base.r)
+            # the sizes counted off the raw entries are the normalized form's
+            ell = hardness_params(alpha)[0].entries.count(0) - 1
+            assert (base.ell, base.r) == (ell, alpha.m - ell - 3)
 
 
 class TestFamilyVectors:
@@ -308,6 +336,11 @@ def test_dichotomy_class_is_hashable():
     # results get stashed in sets/dicts by callers
     assert classify(SV((1, 0))) == DichotomyClass(RuleClass.PLURALITY_LIKE)
     assert len({classify(SV((1, 0))), classify(SV((2, 0)))}) == 1
+    # a hard class is its gadget sizes, whatever the entries
+    hard_00 = DichotomyClass(RuleClass.HARD, ell=0, r=0)
+    assert classify(SV((4, 2, 0))) == classify(SV((2, 1, 0))) == hard_00
+    assert classify(SV((4, 2, 0))) != classify(SV((2, 1, 0, 0)))
+    assert classify(SV((4, 2, 0))) != classify(SV((2, 1, 1, 0)))
 
 
 def test_profiles_reusable_across_vectors():

@@ -33,6 +33,7 @@ from votemanip.reduction import (
     solve_partition,
 )
 from helpers import (
+    count_vector_builds,
     product_oracle,
     random_instance,
     random_nonincreasing,
@@ -605,6 +606,15 @@ class TestPreparedSearch:
             assert got == lone and got.stats == lone.stats, (i, unique, restrict, cap)
             extended += 0 < built < len(search.ballots)
         assert extended >= 30
+
+    @pytest.mark.parametrize("restrict", [True, False])
+    def test_vector_ending_in_zero_is_searched_uncopied(self, monkeypatch, restrict):
+        # veto's last entry is already 0, so the search shifts nothing
+        i = inst((1, 1, 1, 0), [(3, (2, 3, 4, 1)), (1, (4, 3, 1, 2))], (2, 1, 1))
+        built = count_vector_builds(monkeypatch)
+        for unique in (False, True):
+            assert brute_force(i, unique, restrict_p_first=restrict).mode == "brute-force"
+        assert built == []
 
 
 class TestSolve:

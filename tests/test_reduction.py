@@ -31,7 +31,12 @@ from votemanip import (
     unique_winner,
     verify_reduction,
 )
-from helpers import exhaustive_partition, random_instance, random_nonincreasing
+from helpers import (
+    count_vector_builds,
+    exhaustive_partition,
+    random_instance,
+    random_nonincreasing,
+)
 
 SV = ScoringVector
 PI = PartitionInstance
@@ -540,6 +545,16 @@ class TestVerifySharesOneSearch:
         for answer in (report.mp, report.ump):
             assert answer.stats.terminals == answer.stats.pairing == 1
         assert not any(drawn)
+
+    def test_normalized_gadget_builds_no_vector(self, monkeypatch):
+        # veto m=3 is its own normal form: classifying it, the builders'
+        # input checks and the search all use the vector as given
+        alpha = SV((1, 1, 0))
+        built = count_vector_builds(monkeypatch)
+        report = verify_reduction(alpha, PI((1, 1, 2)))
+        assert report.passed and report.mp.decision
+        assert report.artifact.instance.alpha is alpha
+        assert built == []
 
 
 def only_ties(inst, witness):
