@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 Order = tuple[int, ...]
 ScoreTable = dict[int, int]
@@ -59,7 +59,8 @@ class ScoringVector:
     """Nonincreasing integer scores, one per ballot position.
 
     Raises NonMonotoneAlpha when built from no entries, from entries that
-    are not all ``int``, or from entries that increase somewhere.
+    are not all ``int`` (a ``bool`` is not one), or from entries that
+    increase somewhere.
     """
 
     entries: tuple[int, ...]
@@ -69,7 +70,7 @@ class ScoringVector:
         object.__setattr__(self, "entries", entries)
         if not entries:
             raise NonMonotoneAlpha("scoring vector is empty")
-        if not all(isinstance(e, int) for e in entries):
+        if not all(isinstance(e, int) and not isinstance(e, bool) for e in entries):
             raise NonMonotoneAlpha(f"entries must be integers, got {entries}")
         if sorted(entries, reverse=True) != list(entries):
             raise NonMonotoneAlpha(f"entries must be nonincreasing, got {entries}")
@@ -80,20 +81,24 @@ class ScoringVector:
         return len(self.entries)
 
 
-@dataclass(frozen=True)
-class WeightedVote:
+class WeightedVote(NamedTuple("WeightedVote", [("weight", int), ("order", Order)])):
     """One ballot cast with an integer weight >= 1.
 
-    ``order`` is kept as given when it is a tuple and converted to one
-    otherwise (a list or a tuple subclass included).
+    A vote is a named pair of ``weight`` and ``order``: immutable,
+    hashable and equal by value.  ``order`` is kept as given when it is a
+    tuple and converted to one otherwise (a list or a tuple subclass
+    included).  Building a vote from a pair with ``tuple.__new__`` (or
+    ``WeightedVote._make``) skips that conversion, so a caller whose
+    orders are already plain tuples can build many votes without running
+    Python code per vote, as :func:`votemanip.cli.parse_instance` does.
     """
 
-    weight: int
-    order: Order
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if type(self.order) is not tuple:
-            object.__setattr__(self, "order", tuple(self.order))
+    def __new__(cls, weight: int, order: Iterable[int]) -> "WeightedVote":
+        if type(order) is not tuple:
+            order = tuple(order)
+        return tuple.__new__(cls, (weight, order))
 
 
 @dataclass(frozen=True)
@@ -145,11 +150,18 @@ class ManipulationInstance:
 
 
 def is_permutation(order: Sequence[int], m: int) -> bool:
-    """True when ``order`` lists each of 1..m exactly once."""
+    """True when ``order`` lists each of 1..m exactly once, as ``int``s.
+
+    A ``bool`` is no candidate, although ``True`` compares equal to 1.
+    """
+    if len(order) != m:
+        return False
     try:
-        return len(order) == m and sorted(order) == list(range(1, m + 1))
+        ranked = sorted(order)
     except TypeError:  # items that do not compare, like (1, None), are no permutation
         return False
+    # only True can pass for a candidate, as 1, so it would sort first
+    return ranked == list(range(1, m + 1)) and (m == 0 or ranked[0] is not True)
 
 
 def _non_permutations(orders: Sequence[Order], m: int) -> list[int]:
@@ -190,7 +202,8 @@ def tally(votes: Iterable[WeightedVote], alpha: ScoringVector) -> ScoreTable:
     entries = alpha.entries
     totals: dict[Order, int] = {}
     for vote in votes:
-        totals[vote.order] = totals.get(vote.order, 0) + vote.weight
+        order = vote.order
+        totals[order] = totals.get(order, 0) + vote.weight
     for order in totals:
         if len(order) != m:
             raise DimensionMismatch(f"ballot has {len(order)} positions, scoring vector has {m}")
@@ -238,14 +251,15 @@ def require_valid(inst: ManipulationInstance) -> None:
     """Raise InvalidInstance listing every violation, in component order.
 
     Every instance runs this when it is built.  Checks the preferred
-    candidate's range, each fixed ballot and every weight; the weights
-    and ``p`` must be ``int``.  Each voter holding an invalid ballot gets
-    its own issue, after the issue for its weight.  The scoring vector
-    checked itself when it was built.
+    candidate's range, each fixed ballot and every weight; the weights,
+    ``p`` and the ballots' candidates must be ``int``, and a ``bool`` is
+    not one.  Each voter holding an invalid ballot gets its own issue,
+    after the issue for its weight.  The scoring vector checked itself
+    when it was built.
     """
     m = inst.alpha.m
     issues: list[ValidationIssue] = []
-    if not isinstance(inst.p, int) or not 1 <= inst.p <= m:
+    if not isinstance(inst.p, int) or isinstance(inst.p, bool) or not 1 <= inst.p <= m:
         issues.append(
             ValidationIssue(
                 "CandidateOutOfRange", "p", f"preferred candidate {inst.p!r} outside 1..{m}"
@@ -254,7 +268,8 @@ def require_valid(inst: ManipulationInstance) -> None:
     voters = inst.s_voters
     bad = set(_non_permutations([vote.order for vote in voters], m))
     for i, vote in enumerate(voters):
-        if not (isinstance(w := vote.weight, int) and w >= 1):
+        # a bool is no weight; False already fails w >= 1
+        if not (isinstance(w := vote.weight, int) and w >= 1 and w is not True):
             issues.append(_weight_issue(f"s[{i + 1}]", w))
         if i in bad:
             issues.append(
@@ -265,7 +280,7 @@ def require_valid(inst: ManipulationInstance) -> None:
                 )
             )
     for i, w in enumerate(inst.t_weights, start=1):
-        if not (isinstance(w, int) and w >= 1):
+        if not (isinstance(w, int) and w >= 1 and w is not True):
             issues.append(_weight_issue(f"t[{i}]", w))
     if issues:
         raise InvalidInstance(issues)

@@ -8,16 +8,18 @@ voters, which is the polynomial side of the dichotomy; hard vectors give
 several rows and the search prunes.  Instances checked themselves when
 they were built, so the solvers do no validation of their own.  Every
 "yes" answer carries a witness (one ballot per coalition voter) and is
-re-evaluated before being returned.
+checked before being returned: the witness ballots are cast and tallied,
+added to the fixed voters' scores, and p must win on the sum.
 
 A search is prepared once per instance and ``restrict_p_first`` setting,
 then walked once per question.  The walks share the vector's class, the
 shifted vector (the instance's own when it ends in 0), the fixed voters'
-scores, the row count, the bound tables and the score rows with their
-weighted gains, each built when a walk first picks it.  Each walk has its
-own budget, failed-state table, picks and stats, and re-tallies its "yes".
-:func:`brute_force` prepares and walks once; ``reduction.verify_reduction``
-walks one preparation for both winner modes.
+scores, tallied once under the instance's own vector, the row count, the
+bound tables and the score rows with their weighted gains, each built
+when a walk first picks it.  Each walk has its own budget, failed-state
+table, picks and stats, and checks its own "yes".  :func:`brute_force`
+prepares and walks once; ``reduction.verify_reduction`` walks one
+preparation for both winner modes.
 """
 
 from __future__ import annotations
@@ -176,14 +178,22 @@ class _PreparedSearch:
     Everything that does not depend on the winner mode or the budget is
     worked out once here: the vector's class, the vector shifted so its
     last entry is 0 (the vector itself when it ends in 0, as veto,
-    k-approval and every gadget do), what the fixed voters give each
-    candidate on it (``base``, 0-based), p's index, the number of distinct
-    score rows, the per-voter bound tables and the row generator.  A
-    generator runs nothing until drawn, so each row and its weighted gains
-    are built the first time a walk picks it (a root the bounds cut builds
-    none) and kept for later walks.  Each call of :meth:`answer` is its own
-    walk, with its own budget, failed-state table, picks and stats, and
-    re-tallies its own "yes".
+    k-approval and every gadget do), the fixed voters' tally under the
+    instance's own vector (``fixed``, and ``base`` as a 0-based list), p's
+    index, the number of distinct score rows, the per-voter bound tables
+    and the row generator.  Only the rows' gains use the shifted entries.
+    Against the shifted vector's tally, every candidate's fixed score
+    carries the same offset, the last entry times the fixed voters' total
+    weight.  The monotone, capacity and pairing tests compare sums with
+    as many offsets on each side, and every failed-state key of a walk
+    moves by that one offset, so the walk starting from the unshifted
+    table makes exactly the decisions it would make from the shifted one.
+
+    A generator runs nothing until drawn, so each row and its weighted
+    gains are built the first time a walk picks it (a root the bounds cut
+    builds none) and kept for later walks.  Each call of :meth:`answer` is
+    its own walk, with its own budget, failed-state table, picks and
+    stats, and checks its own "yes" against ``fixed``.
     """
 
     def __init__(self, inst: ManipulationInstance, restrict_p_first: bool):
@@ -191,10 +201,9 @@ class _PreparedSearch:
         dc = classify(vec)
         self.inst = inst
         self.mode = MODES[dc.tag]
-        shifted = normalize_last_zero(vec)
-        entries = self.entries = shifted.entries
-        base_table = tally(inst.s_voters, shifted)
-        self.base = [base_table[c] for c in range(1, vec.m + 1)]
+        entries = self.entries = normalize_last_zero(vec).entries
+        fixed = self.fixed = tally(inst.s_voters, vec)
+        self.base = [fixed[c] for c in range(1, vec.m + 1)]
         self.p = inst.p - 1
         self.rows = _row_count(entries, restrict_p_first)
         weights = self.weights = list(inst.t_weights)
@@ -232,7 +241,15 @@ class _PreparedSearch:
             gain_rivals.append([w * x for x in rivals])
 
     def answer(self, unique: bool, node_cap: int) -> ManipulationAnswer:
-        """Decide one winner mode within ``node_cap`` terminals; see :func:`brute_force`."""
+        """Decide one winner mode within ``node_cap`` terminals; see :func:`brute_force`.
+
+        A "yes" is checked before it is returned: the instance casts the
+        witness ballots (rejecting any that is not a permutation), only
+        those coalition votes are tallied under the instance's vector, and
+        p must win on their scores plus the kept fixed-voter table.  The
+        tally is exact and linear in the voters, so that sum is the whole
+        profile's tally.
+        """
         if not isinstance(node_cap, int) or node_cap < 0:
             raise ValueError(f"search budget node_cap must be an integer >= 0, got {node_cap!r}")
         witness, stats = self._walk(unique, node_cap)
@@ -240,7 +257,8 @@ class _PreparedSearch:
             return ManipulationAnswer(False, None, self.mode, stats)
         # Soundness check on every yes: the witness must actually make p win.
         inst = self.inst
-        table = tally(inst.profile(witness), inst.alpha)
+        cast = tally(inst.profile(witness)[len(inst.s_voters):], inst.alpha)
+        table = {c: score + cast[c] for c, score in self.fixed.items()}
         won = unique_winner(table) == inst.p if unique else inst.p in winners(table)
         if not won:
             raise ElectionError("internal error: witness failed re-evaluation")
@@ -410,10 +428,13 @@ def brute_force(
     witness (see :meth:`_PreparedSearch._walk`).  Each row is built the
     first time the search picks it, so bounds that cut the empty
     assignment build none, and a first leaf that wins builds one.  The call
-    prepares a search (class, shifted vector, fixed-voter scores, bound
-    tables) and walks it once; callers asking both winner questions of
-    one instance can share the preparation, as ``verify_reduction`` does,
-    and get the same answers, witnesses and stats.
+    prepares a search (class, shifted vector, one tally of the fixed
+    voters, bound tables) and walks it once; callers asking both winner
+    questions of one instance can share the preparation, as
+    ``verify_reduction`` does, and get the same answers, witnesses and
+    stats.  A "yes" is checked by tallying only the witness ballots and
+    adding the fixed voters' kept scores, so the fixed voters are tallied
+    once per call whatever the answer.
 
     ``node_cap`` budgets search-tree terminals: evaluated leaves plus cut
     branches.  It must be an integer >= 0, else ValueError is raised.

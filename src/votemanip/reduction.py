@@ -391,12 +391,13 @@ def verify_reduction(
     ballots sums to the target.
 
     Both searches walk one preparation of the gadget (p pinned first):
-    the vector's class, the shifted vector and the fixed voters' scores
-    are worked out once, and each score row with its weighted gains is
-    built the first time either walk picks it.  Each walk keeps its own
-    ``node_cap`` budget, failed-state table and stats and re-tallies its
-    own "yes", so ``mp`` and ``ump`` equal what ``brute_force`` returns
-    for each mode, and the first walk to run out raises the same
+    the vector's class, the shifted vector and one tally of the fixed
+    voters are worked out once, and each score row with its weighted gains
+    is built the first time either walk picks it.  Each walk keeps its own
+    ``node_cap`` budget, failed-state table and stats, and checks its own
+    "yes" by tallying only its witness ballots onto the shared fixed-voter
+    table, so ``mp`` and ``ump`` equal what ``brute_force`` returns for
+    each mode, and the first walk to run out raises the same
     CapExhausted.  Each witness is its mode's lexicographically first win
     and every unique win co-wins, so the two differ exactly when the
     co-winner ballots only tie p (``extraction_from_tie``).

@@ -57,6 +57,21 @@ def count_vector_builds(monkeypatch):
     return built
 
 
+def count_tallied_ballots(monkeypatch):
+    """Record how many ballots each tally the search runs from here on reads."""
+    import votemanip.manipulation as manipulation
+
+    counts = []
+
+    def counted(votes, alpha):
+        votes = tuple(votes)
+        counts.append(len(votes))
+        return tally(votes, alpha)
+
+    monkeypatch.setattr(manipulation, "tally", counted)
+    return counts
+
+
 def random_instance(rng, alpha, max_voters=4, max_coalition=3, max_weight=20):
     m = alpha.m
     s_voters = random_profile(rng, m, rng.randint(0, max_voters), max_weight)

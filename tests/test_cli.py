@@ -150,6 +150,17 @@ class TestParseInstance:
         assert orders == [(2, 1)] * 5
         assert orders[0] is orders[1] is orders[2]
 
+    def test_voters_are_votes_holding_plain_tuples(self):
+        # the parser builds its voters in bulk, skipping WeightedVote's
+        # conversion of the order, so they must come out the same as built
+        # one by one
+        text = "alpha 2 1 0\np 1\ns 3 2 1 3\ns 4 3 1 2\ns 5 2 1 3\nt 1\n"
+        voters = parse_instance(text).s_voters
+        V = WeightedVote
+        assert voters == (V(3, (2, 1, 3)), V(4, [3, 1, 2]), V(5, (2, 1, 3)))
+        assert all(type(v) is WeightedVote and type(v.order) is tuple for v in voters)
+        assert repr(voters[1]) == "WeightedVote(weight=4, order=(3, 1, 2))"
+
 
 LIMIT = sys.get_int_max_str_digits()
 BAD_TOKENS = ("x", "1.5", "--1", "+-2", "٣x", "0x1", "½", "1e3", "s")

@@ -54,6 +54,30 @@ class TestScoringVector:
     def test_negative_entries_allowed(self):
         assert ScoringVector((0, -1, -5)).entries == (0, -1, -5)
 
+    def test_bool_entries_rejected(self):
+        # True and False are ints to Python, but no file can spell them
+        for entries in ((True, False), (2, True, 0), (1, 1, False)):
+            with pytest.raises(NonMonotoneAlpha, match="entries must be integers"):
+                ScoringVector(entries)
+
+
+class TestWeightedVote:
+    def test_immutable(self):
+        vote = WeightedVote(1, (2, 1))
+        for name, value in (("weight", 2), ("order", (1, 2)), ("other", 0)):
+            with pytest.raises(AttributeError):
+                setattr(vote, name, value)
+        assert vote == WeightedVote(1, (2, 1))
+
+    def test_equal_votes_hash_equal(self):
+        a, b = WeightedVote(2**70, (2, 1, 3)), WeightedVote(2**70, [2, 1, 3])
+        assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+        assert a != WeightedVote(2**70, (1, 2, 3)) and a != WeightedVote(1, (2, 1, 3))
+
+    def test_repr(self):
+        assert repr(WeightedVote(1, (2, 1))) == "WeightedVote(weight=1, order=(2, 1))"
+        assert repr(WeightedVote(3, [1])) == "WeightedVote(weight=3, order=(1,))"
+
 
 class TestProfile:
     def test_coalition_ballots_must_be_permutations(self):
@@ -74,6 +98,10 @@ class TestIsPermutation:
         assert not is_permutation((0, 1, 2), 3)
         assert is_permutation((1,), 1)
         assert is_permutation((), 0)
+        # True compares equal to 1, but a bool is no candidate
+        assert not is_permutation((True, 2, 3), 3)
+        assert not is_permutation((2, 3, True), 3)
+        assert not is_permutation((True,), 1)
         # items that cannot be compared make no permutation, and raise nothing
         assert not is_permutation((1, "a"), 2)
         assert not is_permutation((1, None), 2)
@@ -267,12 +295,39 @@ class TestValidation:
                 ("NonPermutationOrder", "s[2]", f"ballot {bad} is not a permutation of 1..2"),
             ]
 
+    def test_bool_candidate_is_nonpermutation(self):
+        # True == 1, so sorting alone would take (True, 2, 3) for a permutation
+        issues = self.issues(
+            ScoringVector((2, 1, 0)),
+            (V(1, (3, 2, 1)), V(2, (True, 2, 3)), V(1, (3, 2, 1)), V(4, (True, 2, 3))),
+            (1,),
+            1,
+        )
+        message = "ballot (True, 2, 3) is not a permutation of 1..3"
+        assert [(i.code, i.where, i.message) for i in issues] == [
+            ("NonPermutationOrder", "s[2]", message),
+            ("NonPermutationOrder", "s[4]", message),
+        ]
+
+    def test_bools_in_every_place_rejected(self):
+        # each bool is an issue of its own, and a vector of bools is never built
+        voters = (V(True, (1, 2, 3)), V(2, (2, 1, 3)), V(1, (3, True, 2)))
+        issues = self.issues(ScoringVector((2, 1, 0)), voters, (True,), True)
+        assert [(i.code, i.where) for i in issues] == [
+            ("CandidateOutOfRange", "p"),
+            ("NonPositiveWeight", "s[1]"),
+            ("NonPermutationOrder", "s[3]"),
+            ("NonPositiveWeight", "t[1]"),
+        ]
+        with pytest.raises(NonMonotoneAlpha):
+            ManipulationInstance(ScoringVector((True, False)), (), (1,), 1)
+
     def test_short_ballot_is_nonpermutation(self):
         issues = self.issues(ScoringVector((1, 0, 0)), (V(1, (1, 2)),), (), 1)
         assert [i.code for i in issues] == ["NonPermutationOrder"]
 
     def test_p_out_of_range(self):
-        for p in (0, 4, -1, 1.5, 2.0):
+        for p in (0, 4, -1, 1.5, 2.0, True):
             (issue,) = self.issues(ScoringVector((1, 0, 0)), (), (1,), p)
             assert issue.code == "CandidateOutOfRange"
             assert issue.where == "p"
@@ -286,13 +341,21 @@ class TestValidation:
     def test_non_integer_weights(self):
         # float weights would otherwise tally to float scores and wrong answers
         issues = self.issues(
-            ScoringVector((1, 0)), (V(1.1, (2, 1)), V(2, (2, 1))), (3.3, 2.0), 1
+            ScoringVector((1, 0)),
+            (V(1.1, (2, 1)), V(2, (2, 1)), V(True, (2, 1)), V(False, (1, 2))),
+            (3.3, 2.0, True, False),
+            1,
         )
         assert [(i.code, i.where) for i in issues] == [
             ("NonPositiveWeight", "s[1]"),
+            ("NonPositiveWeight", "s[3]"),
+            ("NonPositiveWeight", "s[4]"),
             ("NonPositiveWeight", "t[1]"),
             ("NonPositiveWeight", "t[2]"),
+            ("NonPositiveWeight", "t[3]"),
+            ("NonPositiveWeight", "t[4]"),
         ]
+        assert issues[1].message == "weight True must be an integer >= 1"
         assert all("must be an integer >= 1" in i.message for i in issues)
 
     def test_increasing_alpha(self):
@@ -326,7 +389,7 @@ class TestValidation:
         # p first, then per fixed voter its weight issue before its ballot
         # issue, in voter order, then the coalition weights
         rng = random.Random(12)
-        weights = ((1, 7, 2**70, True), (0, -3, 2.5, None))  # good, then bad
+        weights = ((1, 7, 2**70), (0, -3, 2.5, None, True))  # good, then bad
         orders = (((1, 2, 3), (3, 1, 2)), ((1, 1, 2), (1, 2), (0, 1, 2), (1, 2, 3, 4), (1, None, 3)))
         voters = [
             V(rng.choice(weights[rng.randrange(2)]), rng.choice(orders[rng.randrange(2)]))
@@ -336,7 +399,7 @@ class TestValidation:
             voters[rng.randrange(400)] = V(1, ([1], [2], [3]))
         want = [("CandidateOutOfRange", "p", "preferred candidate 4 outside 1..3")]
         for i, vote in enumerate(voters, start=1):
-            if not (isinstance(vote.weight, int) and vote.weight >= 1):
+            if not (type(vote.weight) is int and vote.weight >= 1):
                 message = f"weight {vote.weight!r} must be an integer >= 1"
                 want.append(("NonPositiveWeight", f"s[{i}]", message))
             if not is_permutation(vote.order, 3):

@@ -20,6 +20,7 @@ from votemanip import (
     brute_force,
     classify,
     family_vector,
+    normalize_last_zero,
     solve,
     solve_all_equal,
     solve_plurality_like,
@@ -33,10 +34,12 @@ from votemanip.reduction import (
     solve_partition,
 )
 from helpers import (
+    count_tallied_ballots,
     count_vector_builds,
     product_oracle,
     random_instance,
     random_nonincreasing,
+    random_order,
     random_plurality_like,
     small_instance_grid,
 )
@@ -615,6 +618,60 @@ class TestPreparedSearch:
         for unique in (False, True):
             assert brute_force(i, unique, restrict_p_first=restrict).mode == "brute-force"
         assert built == []
+
+
+class TestFixedVotersTalliedOnce:
+    """The fixed voters are tallied once per search, under the instance's
+    own vector; a yes adds a tally of only the coalition's ballots."""
+
+    def test_yes_tallies_fixed_voters_once(self, monkeypatch):
+        rng = random.Random(19)
+        fixed = tuple(V(rng.randint(1, 9), random_order(rng, 4)) for _ in range(40))
+        yes = ManipulationInstance(SV((5, 3, 2, 1)), fixed, (90, 90, 90), 2)
+        no = replace(yes, t_weights=(1, 1))
+        counts = count_tallied_ballots(monkeypatch)
+        for unique in (False, True):
+            for restrict in (True, False):
+                assert brute_force(yes, unique, restrict_p_first=restrict).decision
+                assert counts == [40, 3]  # F + n ballots, where a full re-tally read 2F + n
+                counts.clear()
+                assert not brute_force(no, unique, restrict_p_first=restrict).decision
+                assert counts == [40]
+                counts.clear()
+
+    @pytest.mark.parametrize("restrict", [True, False])
+    def test_search_decides_as_on_the_shifted_vector(self, restrict):
+        # the walk starts from the fixed voters' unshifted scores, which
+        # differ from the shifted ones by the same amount for every candidate
+        rng = random.Random(20)
+        fixed_vectors = ((5, 4, 3, 2, 1), (3, 1, 1), (2, 2, 1, 1), (-1, -2, -4), (0, -3, -3, -5))
+        cut = capped = 0
+        for trial in range(500):
+            if trial % 2:
+                alpha = SV(fixed_vectors[trial // 2 % len(fixed_vectors)])
+            else:
+                alpha = random_nonincreasing(rng, rng.randint(2, 5), lo=-6, hi=6)
+                while alpha.entries[-1] == 0:
+                    alpha = random_nonincreasing(rng, alpha.m, lo=-6, hi=6)
+            i = random_instance(rng, alpha, max_voters=4, max_coalition=4, max_weight=9)
+            if trial % 3 == 0:  # heavy fixed voters: a large offset, and cuts that fire
+                i = close_rivals(rng, i, rng.randint(1, 4))
+            shifted = replace(i, alpha=normalize_last_zero(i.alpha))
+            assert shifted.alpha.entries[-1] == 0 != i.alpha.entries[-1]
+            for unique in (False, True):
+                got = brute_force(i, unique, restrict_p_first=restrict)
+                want = brute_force(shifted, unique, restrict_p_first=restrict)
+                assert (got, got.stats) == (want, want.stats), (i, unique)
+                cut += got.stats.terminals > got.stats.leaves
+                if got.stats.terminals > 1:
+                    budget = rng.randrange(got.stats.terminals)
+                    with pytest.raises(CapExhausted) as a:
+                        brute_force(i, unique, budget, restrict_p_first=restrict)
+                    with pytest.raises(CapExhausted) as b:
+                        brute_force(shifted, unique, budget, restrict_p_first=restrict)
+                    assert (str(a.value), a.value.stats) == (str(b.value), b.value.stats)
+                    capped += 1
+        assert cut >= 100 and capped >= 100
 
 
 class TestSolve:

@@ -32,6 +32,7 @@ from votemanip import (
     verify_reduction,
 )
 from helpers import (
+    count_tallied_ballots,
     count_vector_builds,
     exhaustive_partition,
     random_instance,
@@ -545,6 +546,17 @@ class TestVerifySharesOneSearch:
         for answer in (report.mp, report.ump):
             assert answer.stats.terminals == answer.stats.pairing == 1
         assert not any(drawn)
+
+    @pytest.mark.parametrize("entries,ks", [((1, 1, 0), (1, 1, 2)), ((5, 4, 3, 2, 1), (3, 5, 2, 4))])
+    def test_fixed_voters_tallied_once(self, monkeypatch, entries, ks):
+        # the two walks share one fixed-voter tally, and each yes tallies
+        # only its coalition's ballots on top: F + 2n ballots, not 3F + 2n
+        counts = count_tallied_ballots(monkeypatch)
+        report = verify_reduction(SV(entries), PI(ks))
+        assert report.passed and report.mp.decision and report.ump.decision
+        inst = report.artifact.instance
+        fixed, n = len(inst.s_voters), len(inst.t_weights)
+        assert counts == [fixed, n, n]
 
     def test_normalized_gadget_builds_no_vector(self, monkeypatch):
         # veto m=3 is its own normal form: classifying it, the builders'
