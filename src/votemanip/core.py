@@ -130,11 +130,16 @@ class ManipulationInstance:
         require_valid(self)
 
     def profile(self, orders: Iterable[Order]) -> tuple[WeightedVote, ...]:
-        """The fixed voters, then one vote per coalition weight cast with ``orders``.
+        """The fixed voters, then the coalition's votes (see :meth:`coalition_votes`)."""
+        return self.s_voters + self.coalition_votes(orders)
+
+    def coalition_votes(self, orders: Iterable[Order]) -> tuple[WeightedVote, ...]:
+        """One vote per coalition weight cast with ``orders``, without the fixed voters.
 
         Each distinct ballot is checked once; when some are not
         permutations of 1..m, NonPermutationOrder names the first
-        coalition voter (1-based) casting one.
+        coalition voter (1-based) casting one.  A count of ballots other
+        than the coalition's size raises ElectionError.
         """
         orders = tuple(orders)
         if len(orders) != len(self.t_weights):
@@ -146,7 +151,7 @@ class ManipulationInstance:
             raise NonPermutationOrder(
                 f"coalition ballot t[{i + 1}] {orders[i]} is not a permutation of 1..{m}"
             )
-        return self.s_voters + tuple(WeightedVote(w, o) for w, o in zip(self.t_weights, orders))
+        return tuple(WeightedVote(w, o) for w, o in zip(self.t_weights, orders))
 
 
 def is_permutation(order: Sequence[int], m: int) -> bool:

@@ -18,8 +18,9 @@ scores, tallied once under the instance's own vector, the row count, the
 bound tables and the score rows with their weighted gains, each built
 when a walk first picks it.  Each walk has its own budget, failed-state
 table, picks and stats, and checks its own "yes".  :func:`brute_force`
-prepares and walks once; ``reduction.verify_reduction`` walks one
-preparation for both winner modes.
+prepares and walks once.  ``reduction.verify_reduction`` asks one
+preparation for both winner modes, which one co-winner walk answers
+unless its witness merely ties p; only then does a unique walk follow.
 """
 
 from __future__ import annotations
@@ -193,7 +194,10 @@ class _PreparedSearch:
     gains are built the first time a walk picks it (a root the bounds cut
     builds none) and kept for later walks.  Each call of :meth:`answer` is
     its own walk, with its own budget, failed-state table, picks and
-    stats, and checks its own "yes" against ``fixed``.
+    stats, and checks its own "yes" against ``fixed``.  :meth:`answers`
+    decides both winner modes from one co-winner walk and walks the
+    unique mode only when that walk's witness merely ties p; a unique
+    answer it reads off the co-winner walk carries that walk's stats.
     """
 
     def __init__(self, inst: ManipulationInstance, restrict_p_first: bool):
@@ -243,26 +247,55 @@ class _PreparedSearch:
     def answer(self, unique: bool, node_cap: int) -> ManipulationAnswer:
         """Decide one winner mode within ``node_cap`` terminals; see :func:`brute_force`.
 
-        A "yes" is checked before it is returned: the instance casts the
-        witness ballots (rejecting any that is not a permutation), only
-        those coalition votes are tallied under the instance's vector, and
-        p must win on their scores plus the kept fixed-voter table.  The
-        tally is exact and linear in the voters, so that sum is the whole
-        profile's tally.
+        A "yes" is checked before it is returned: the instance casts only
+        the coalition's witness ballots (rejecting any that is not a
+        permutation), those votes are tallied under the instance's vector,
+        and p must win on their scores plus the kept fixed-voter table.
+        The tally is exact and linear in the voters, so that sum is the
+        whole profile's tally.
         """
+        return self._answer(unique, node_cap)[0]
+
+    def answers(self, node_cap: int) -> tuple[ManipulationAnswer, ManipulationAnswer]:
+        """Both winner modes, co-winner first, from one walk when it decides both.
+
+        The co-winner walk runs as :meth:`answer` runs it, and its
+        CapExhausted propagates unchanged.  A "no" answers both modes: no
+        assignment makes p a co-winner, so none makes it the unique winner.
+        A "yes" whose witness W leaves p alone on top, read off the table
+        its check built, answers both too: W is the first co-winning
+        assignment, every unique win co-wins, and both modes walk the same
+        rows in the same order under the same equal-weight symmetry cut,
+        so W is also the first unique win.  Only when W merely ties p does
+        the unique walk run, with its own budget, failed-state table and
+        stats, so only then can it raise CapExhausted.
+
+        Decisions and witnesses in both modes, the co-winner answer's
+        stats and every CapExhausted of the co-winner walk are those of a
+        lone :func:`brute_force` call.  A unique answer read off the
+        co-winner walk is that walk's answer, stats included; after a tie
+        it is the unique walk's, as a lone call gives it.
+        """
+        mp, table = self._answer(False, node_cap)
+        if not mp.decision or unique_winner(table) == self.inst.p:
+            return mp, mp
+        return mp, self.answer(True, node_cap)
+
+    def _answer(self, unique, node_cap):
+        """One walk's answer, and on a yes the final score table its check built."""
         if not isinstance(node_cap, int) or node_cap < 0:
             raise ValueError(f"search budget node_cap must be an integer >= 0, got {node_cap!r}")
         witness, stats = self._walk(unique, node_cap)
         if witness is None:
-            return ManipulationAnswer(False, None, self.mode, stats)
+            return ManipulationAnswer(False, None, self.mode, stats), None
         # Soundness check on every yes: the witness must actually make p win.
         inst = self.inst
-        cast = tally(inst.profile(witness)[len(inst.s_voters):], inst.alpha)
+        cast = tally(inst.coalition_votes(witness), inst.alpha)
         table = {c: score + cast[c] for c, score in self.fixed.items()}
         won = unique_winner(table) == inst.p if unique else inst.p in winners(table)
         if not won:
             raise ElectionError("internal error: witness failed re-evaluation")
-        return ManipulationAnswer(True, witness, self.mode, stats)
+        return ManipulationAnswer(True, witness, self.mode, stats), table
 
     def _walk(self, unique, node_cap):
         """First winning ballot per coalition voter (None if none), and stats.
@@ -430,9 +463,10 @@ def brute_force(
     assignment build none, and a first leaf that wins builds one.  The call
     prepares a search (class, shifted vector, one tally of the fixed
     voters, bound tables) and walks it once; callers asking both winner
-    questions of one instance can share the preparation, as
-    ``verify_reduction`` does, and get the same answers, witnesses and
-    stats.  A "yes" is checked by tallying only the witness ballots and
+    questions of one instance can share the preparation and get the same
+    answers, witnesses and stats.  ``verify_reduction`` goes further: one
+    co-winner walk answers both questions unless its witness merely ties
+    p.  A "yes" is checked by tallying only the witness ballots and
     adding the fixed voters' kept scores, so the fixed voters are tallied
     once per call whatever the answer.
 

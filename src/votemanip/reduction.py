@@ -365,7 +365,13 @@ def solve_partition(part: PartitionInstance) -> set[int] | None:
 
 @dataclass(frozen=True)
 class VerificationReport:
-    """End-to-end cross-check of one vector/partition pair."""
+    """End-to-end cross-check of one vector/partition pair.
+
+    ``mp`` and ``ump`` answer the co-winner and unique-winner questions.
+    When ``extraction_from_tie`` is False, ``ump`` was read off the
+    co-winner walk and is ``mp``'s answer, stats included; when it is
+    True, the unique walk ran and ``ump`` holds its stats.
+    """
 
     artifact: ReductionArtifact
     partition_witness: frozenset[int] | None
@@ -390,23 +396,24 @@ def verify_reduction(
     ballots leaving p the unique winner, and extraction from found
     ballots sums to the target.
 
-    Both searches walk one preparation of the gadget (p pinned first):
-    the vector's class, the shifted vector and one tally of the fixed
-    voters are worked out once, and each score row with its weighted gains
-    is built the first time either walk picks it.  Each walk keeps its own
-    ``node_cap`` budget, failed-state table and stats, and checks its own
-    "yes" by tallying only its witness ballots onto the shared fixed-voter
-    table, so ``mp`` and ``ump`` equal what ``brute_force`` returns for
-    each mode, and the first walk to run out raises the same
-    CapExhausted.  Each witness is its mode's lexicographically first win
-    and every unique win co-wins, so the two differ exactly when the
-    co-winner ballots only tie p (``extraction_from_tie``).
+    Both answers come from one preparation of the gadget (p pinned
+    first) and its :meth:`~votemanip.manipulation._PreparedSearch.answers`:
+    the co-winner walk runs with the ``node_cap`` budget and checks its
+    "yes" by tallying only its witness ballots onto the kept fixed-voter
+    table.  A "no" answers both modes, and so does a witness that leaves p
+    alone on top, since each witness is its mode's lexicographically first
+    win and every unique win co-wins.  Only when the co-winner ballots
+    merely tie p (``extraction_from_tie``) does the unique walk run, with
+    its own budget, failed-state table and stats, so only then can the
+    second walk raise CapExhausted.  ``mp`` equals what ``brute_force``
+    returns, stats included, and its walk raises the same CapExhausted;
+    ``ump`` equals the unique ``brute_force`` answer in decision, witness
+    and mode, and carries the co-winner walk's stats when it was read off
+    that walk.
     """
     art = reduce_partition(alpha, part)
     subset = solve_partition(part)
-    search = _PreparedSearch(art.instance, restrict_p_first=True)
-    mp = search.answer(False, node_cap)
-    ump = search.answer(True, node_cap)
+    mp, ump = _PreparedSearch(art.instance, restrict_p_first=True).answers(node_cap)
 
     forward_unique: bool | None = None
     if subset is not None:
@@ -420,7 +427,8 @@ def verify_reduction(
         assert mp.witness is not None
         extracted = frozenset(extract_witness(art, mp.witness))
         extracted_sum = sum(part.ks[i - 1] for i in extracted)
-        # each witness is its mode's first win and unique wins co-win: they differ iff mp only ties
+        # each witness is its mode's first win and unique wins co-win: they differ iff mp
+        # only ties, which is also when the unique walk ran
         from_tie = ump.witness != mp.witness
 
     agree = (subset is not None) == mp.decision == ump.decision

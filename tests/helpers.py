@@ -72,6 +72,21 @@ def count_tallied_ballots(monkeypatch):
     return counts
 
 
+def count_walks(monkeypatch):
+    """Record the winner mode (``unique``) of every search walk run from here on."""
+    from votemanip.manipulation import _PreparedSearch
+
+    walks = []
+    walk = _PreparedSearch._walk
+
+    def counted(search, unique, node_cap):
+        walks.append(unique)
+        return walk(search, unique, node_cap)
+
+    monkeypatch.setattr(_PreparedSearch, "_walk", counted)
+    return walks
+
+
 def random_instance(rng, alpha, max_voters=4, max_coalition=3, max_weight=20):
     m = alpha.m
     s_voters = random_profile(rng, m, rng.randint(0, max_voters), max_weight)

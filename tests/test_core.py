@@ -89,6 +89,27 @@ class TestProfile:
         with pytest.raises(NonPermutationOrder, match=r"t\[1\] \(3, 3, 3\)"):
             inst.profile([(3, 3, 3), (1, 1, 1)])
 
+    def test_coalition_votes_leave_the_fixed_voters_out(self):
+        fixed = (V(5, (3, 1, 2)), V(2, (2, 3, 1)))
+        inst = ManipulationInstance(ScoringVector((2, 1, 0)), fixed, (4, 7), 1)
+        orders = ([1, 2, 3], (3, 2, 1))
+        cast = inst.coalition_votes(iter(orders))
+        assert cast == (V(4, (1, 2, 3)), V(7, (3, 2, 1)))
+        assert inst.profile(orders) == fixed + cast
+        # both check the coalition's ballots with the same messages
+        bad = {
+            ((1, 2, 3), (1, 2, 2)): (
+                NonPermutationOrder,
+                "coalition ballot t[2] (1, 2, 2) is not a permutation of 1..3",
+            ),
+            ((1, 2, 3),): (ElectionError, "need 2 coalition ballots, got 1"),
+        }
+        for orders, (error, text) in bad.items():
+            for cast in (inst.coalition_votes, inst.profile):
+                with pytest.raises(error) as raised:
+                    cast(orders)
+                assert str(raised.value) == text
+
 
 class TestIsPermutation:
     def test_basic(self):

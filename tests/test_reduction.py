@@ -34,6 +34,7 @@ from votemanip import (
 from helpers import (
     count_tallied_ballots,
     count_vector_builds,
+    count_walks,
     exhaustive_partition,
     random_instance,
     random_nonincreasing,
@@ -490,19 +491,22 @@ class TestVerifySharesOneSearch:
     """verify_reduction answers both questions from one prepared search."""
 
     def test_matches_lone_searches(self):
-        # on these gadgets the unique-winner walk never needed more terminals
-        # than the co-winner walk (0 of 1500 measured), so no budget stops
-        # the second walk alone; test_manipulation's TestPreparedSearch
-        # covers that on random instances
+        # ump is read off the co-winner walk, stats included, unless the
+        # co-winner ballots only tie p; no gadget's do, so the unique walk
+        # and its budget are covered on random instances by
+        # test_manipulation's TestPreparedSearch
         rng = random.Random(11)
         for trial in range(320):
             alpha, part = random_gadget_inputs(rng, yes=trial % 2 == 0)
             report = verify_reduction(alpha, part)
             assert report.passed
             inst = report.artifact.instance
-            for got, unique in ((report.mp, False), (report.ump, True)):
-                lone = brute_force(inst, unique)
-                assert got == lone and got.stats == lone.stats, (alpha, part, unique)
+            lone = brute_force(inst, False)
+            assert report.mp == lone and report.mp.stats == lone.stats, (alpha, part)
+            lone = brute_force(inst, True)
+            assert report.ump == lone, (alpha, part)
+            walked = report.extraction_from_tie
+            assert report.ump.stats == (lone if walked else report.mp).stats, (alpha, part)
             # a budget the first walk exceeds
             first = report.mp.stats.terminals
             with pytest.raises(CapExhausted) as shared:
@@ -549,14 +553,28 @@ class TestVerifySharesOneSearch:
 
     @pytest.mark.parametrize("entries,ks", [((1, 1, 0), (1, 1, 2)), ((5, 4, 3, 2, 1), (3, 5, 2, 4))])
     def test_fixed_voters_tallied_once(self, monkeypatch, entries, ks):
-        # the two walks share one fixed-voter tally, and each yes tallies
-        # only its coalition's ballots on top: F + 2n ballots, not 3F + 2n
+        # one fixed-voter tally, and the yes tallies only its coalition's
+        # ballots on top; p is alone on top, so that one check answers the
+        # unique question too: F + n ballots, where two walks read F + 2n
         counts = count_tallied_ballots(monkeypatch)
         report = verify_reduction(SV(entries), PI(ks))
         assert report.passed and report.mp.decision and report.ump.decision
         inst = report.artifact.instance
         fixed, n = len(inst.s_voters), len(inst.t_weights)
-        assert counts == [fixed, n, n]
+        assert counts == [fixed, n]
+
+    @pytest.mark.parametrize(
+        "entries,ks,yes",
+        [((1, 1, 0), (1, 1, 4), False), ((5, 4, 3, 2, 1), (3, 5, 2, 4), True)],
+    )
+    def test_one_walk_answers_both_modes(self, monkeypatch, entries, ks, yes):
+        # a "no", or co-winner ballots that leave p alone on top, answer the
+        # unique question too
+        walks = count_walks(monkeypatch)
+        report = verify_reduction(SV(entries), PI(ks))
+        assert report.passed and report.mp.decision == report.ump.decision == yes
+        assert not report.extraction_from_tie
+        assert walks == [False]
 
     def test_normalized_gadget_builds_no_vector(self, monkeypatch):
         # veto m=3 is its own normal form: classifying it, the builders'
