@@ -403,8 +403,6 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     if report.extracted is not None:
         print("extracted-indices " + " ".join(map(str, sorted(report.extracted))))
         print(f"extracted-sum {_decimal(report.extracted_sum, 'extracted sum')}")
-        if report.extraction_from_tie:
-            print("extraction-from-tie yes")
     print(f"verdict {'pass' if report.passed else 'fail'}")
     return 0 if report.passed else 1
 

@@ -70,7 +70,7 @@ class ScoringVector:
         object.__setattr__(self, "entries", entries)
         if not entries:
             raise NonMonotoneAlpha("scoring vector is empty")
-        if not all(isinstance(e, int) and not isinstance(e, bool) for e in entries):
+        if not all(map(_is_int, entries)):
             raise NonMonotoneAlpha(f"entries must be integers, got {entries}")
         if sorted(entries, reverse=True) != list(entries):
             raise NonMonotoneAlpha(f"entries must be nonincreasing, got {entries}")
@@ -152,6 +152,11 @@ class ManipulationInstance:
                 f"coalition ballot t[{i + 1}] {orders[i]} is not a permutation of 1..{m}"
             )
         return tuple(WeightedVote(w, o) for w, o in zip(self.t_weights, orders))
+
+
+def _is_int(x: object) -> bool:
+    """True for an ``int`` other than a ``bool``, which compares equal to 0 or 1."""
+    return isinstance(x, int) and not isinstance(x, bool)
 
 
 def is_permutation(order: Sequence[int], m: int) -> bool:
@@ -264,7 +269,7 @@ def require_valid(inst: ManipulationInstance) -> None:
     """
     m = inst.alpha.m
     issues: list[ValidationIssue] = []
-    if not isinstance(inst.p, int) or isinstance(inst.p, bool) or not 1 <= inst.p <= m:
+    if not _is_int(inst.p) or not 1 <= inst.p <= m:
         issues.append(
             ValidationIssue(
                 "CandidateOutOfRange", "p", f"preferred candidate {inst.p!r} outside 1..{m}"

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Mapping
 
-from .core import ElectionError, ScoringVector
+from .core import ElectionError, ScoringVector, _is_int
 
 
 class NonPositiveScale(ElectionError):
@@ -56,14 +56,14 @@ def shift(alpha: ScoringVector, k: int) -> ScoringVector:
     """Add ``k`` to every entry.  Winners are unchanged; each candidate's
     score moves by exactly ``k`` times the profile's total weight.  A
     non-integer ``k`` raises TypeError."""
-    if not isinstance(k, int):
+    if not _is_int(k):
         raise TypeError(f"shift amount must be an integer, got {k!r}")
     return ScoringVector(tuple(e + k for e in alpha.entries))
 
 
 def scale(alpha: ScoringVector, k: int) -> ScoringVector:
     """Multiply every entry by an integer ``k >= 1``; winners are unchanged."""
-    if not isinstance(k, int) or k < 1:
+    if not _is_int(k) or k < 1:
         raise NonPositiveScale(f"scale factor must be an integer >= 1, got {k!r}")
     return ScoringVector(tuple(e * k for e in alpha.entries))
 
@@ -119,7 +119,8 @@ class ScoringFamily:
     Raises ValueError for an unknown kind, a k-approval ``k`` that is not
     an ``int`` >= 1, a constant ``value`` that is not an ``int``, and an
     explicit family without vectors, with a size that is not the ``int``
-    length of its ``ScoringVector``, or with a size given twice.  Each
+    length of its ``ScoringVector``, or with a size given twice; a
+    ``bool`` is not an ``int`` in any of these.  Each
     parameter belongs to one kind (``k`` to k-approval, ``value`` to
     constant, ``table`` to explicit), and setting it on another kind is a
     ValueError too, since that kind would ignore it.  An explicit table is
@@ -137,15 +138,15 @@ class ScoringFamily:
         for param, owner in (("k", "k-approval"), ("value", "constant"), ("table", "explicit")):
             if getattr(self, param) is not None and self.kind != owner:
                 raise ValueError(f"{self.kind} families take no {param}; only {owner} does")
-        if self.kind == "k-approval" and not (isinstance(self.k, int) and self.k >= 1):
+        if self.kind == "k-approval" and not (_is_int(self.k) and self.k >= 1):
             raise ValueError(f"k-approval needs an integer block size k >= 1, got {self.k!r}")
-        if self.kind == "constant" and not isinstance(self.value, int):
+        if self.kind == "constant" and not _is_int(self.value):
             raise ValueError(f"constant families need an integer value, got {self.value!r}")
         if self.kind == "explicit":
             if not self.table:
                 raise ValueError("explicit families need at least one vector")
             for size, vec in self.table:
-                if not (isinstance(size, int) and isinstance(vec, ScoringVector) and vec.m == size):
+                if not (_is_int(size) and isinstance(vec, ScoringVector) and vec.m == size):
                     raise ValueError(
                         "explicit families map each candidate count to a scoring vector "
                         f"of that size, got {size!r} -> {vec!r}"
@@ -194,7 +195,7 @@ def family_vector(family: ScoringFamily, m: int) -> ScoringVector:
     that), for k-approval with fewer than k candidates, and for explicit
     tables without an entry for m.
     """
-    if not isinstance(m, int) or m < 1:
+    if not _is_int(m) or m < 1:
         raise UnsupportedM(f"candidate count must be an integer >= 1, got {m!r}")
     try:
         return _vector_at(family, m)

@@ -18,9 +18,10 @@ scores, tallied once under the instance's own vector, the row count, the
 bound tables and the score rows with their weighted gains, each built
 when a walk first picks it.  Each walk has its own budget, failed-state
 table, picks and stats, and checks its own "yes".  :func:`brute_force`
-prepares and walks once.  ``reduction.verify_reduction`` asks one
-preparation for both winner modes, which one co-winner walk answers
-unless its witness merely ties p; only then does a unique walk follow.
+prepares and walks once.  ``reduction.verify_reduction`` walks one
+preparation once, in the co-winner mode: on its gadgets every co-win
+with p pinned first leaves p alone on top, so that walk answers the
+unique-winner question too.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from operator import add
 from typing import Iterator
 
 from .core import ElectionError, ManipulationInstance, Order, tally, unique_winner, winners
+from .core import _is_int
 from .dichotomy import RuleClass, classify, normalize_last_zero
 
 DEFAULT_NODE_CAP = 10**7
@@ -194,10 +196,7 @@ class _PreparedSearch:
     gains are built the first time a walk picks it (a root the bounds cut
     builds none) and kept for later walks.  Each call of :meth:`answer` is
     its own walk, with its own budget, failed-state table, picks and
-    stats, and checks its own "yes" against ``fixed``.  :meth:`answers`
-    decides both winner modes from one co-winner walk and walks the
-    unique mode only when that walk's witness merely ties p; a unique
-    answer it reads off the co-winner walk carries that walk's stats.
+    stats, and checks its own "yes" against ``fixed``.
     """
 
     def __init__(self, inst: ManipulationInstance, restrict_p_first: bool):
@@ -247,52 +246,35 @@ class _PreparedSearch:
     def answer(self, unique: bool, node_cap: int) -> ManipulationAnswer:
         """Decide one winner mode within ``node_cap`` terminals; see :func:`brute_force`.
 
-        A "yes" is checked before it is returned: the instance casts only
-        the coalition's witness ballots (rejecting any that is not a
-        permutation), those votes are tallied under the instance's vector,
-        and p must win on their scores plus the kept fixed-voter table.
-        The tally is exact and linear in the voters, so that sum is the
-        whole profile's tally.
+        A "yes" is checked before it is returned: p must win on the
+        :meth:`table` of its witness ballots.
         """
         return self._answer(unique, node_cap)[0]
 
-    def answers(self, node_cap: int) -> tuple[ManipulationAnswer, ManipulationAnswer]:
-        """Both winner modes, co-winner first, from one walk when it decides both.
+    def table(self, coalition_ballots: tuple[Order, ...]) -> dict[int, int]:
+        """The whole profile's score table with the coalition casting these ballots.
 
-        The co-winner walk runs as :meth:`answer` runs it, and its
-        CapExhausted propagates unchanged.  A "no" answers both modes: no
-        assignment makes p a co-winner, so none makes it the unique winner.
-        A "yes" whose witness W leaves p alone on top, read off the table
-        its check built, answers both too: W is the first co-winning
-        assignment, every unique win co-wins, and both modes walk the same
-        rows in the same order under the same equal-weight symmetry cut,
-        so W is also the first unique win.  Only when W merely ties p does
-        the unique walk run, with its own budget, failed-state table and
-        stats, so only then can it raise CapExhausted.
-
-        Decisions and witnesses in both modes, the co-winner answer's
-        stats and every CapExhausted of the co-winner walk are those of a
-        lone :func:`brute_force` call.  A unique answer read off the
-        co-winner walk is that walk's answer, stats included; after a tie
-        it is the unique walk's, as a lone call gives it.
+        The instance casts only the coalition's ballots (rejecting any that
+        is not a permutation), those votes are tallied under the
+        instance's vector and added to the kept fixed-voter table.  The
+        tally is exact and linear in the voters, so the sum is the whole
+        profile's tally.
         """
-        mp, table = self._answer(False, node_cap)
-        if not mp.decision or unique_winner(table) == self.inst.p:
-            return mp, mp
-        return mp, self.answer(True, node_cap)
+        inst = self.inst
+        cast = tally(inst.coalition_votes(coalition_ballots), inst.alpha)
+        return {c: score + cast[c] for c, score in self.fixed.items()}
 
     def _answer(self, unique, node_cap):
         """One walk's answer, and on a yes the final score table its check built."""
-        if not isinstance(node_cap, int) or node_cap < 0:
+        if not _is_int(node_cap) or node_cap < 0:
             raise ValueError(f"search budget node_cap must be an integer >= 0, got {node_cap!r}")
         witness, stats = self._walk(unique, node_cap)
         if witness is None:
             return ManipulationAnswer(False, None, self.mode, stats), None
         # Soundness check on every yes: the witness must actually make p win.
-        inst = self.inst
-        cast = tally(inst.coalition_votes(witness), inst.alpha)
-        table = {c: score + cast[c] for c, score in self.fixed.items()}
-        won = unique_winner(table) == inst.p if unique else inst.p in winners(table)
+        table = self.table(witness)
+        p = self.inst.p
+        won = unique_winner(table) == p if unique else p in winners(table)
         if not won:
             raise ElectionError("internal error: witness failed re-evaluation")
         return ManipulationAnswer(True, witness, self.mode, stats), table
@@ -464,14 +446,15 @@ def brute_force(
     prepares a search (class, shifted vector, one tally of the fixed
     voters, bound tables) and walks it once; callers asking both winner
     questions of one instance can share the preparation and get the same
-    answers, witnesses and stats.  ``verify_reduction`` goes further: one
-    co-winner walk answers both questions unless its witness merely ties
-    p.  A "yes" is checked by tallying only the witness ballots and
+    answers, witnesses and stats.  ``verify_reduction`` walks once: on
+    its gadgets, with p pinned first, the first co-win is also the first
+    unique win.  A "yes" is checked by tallying only the witness ballots and
     adding the fixed voters' kept scores, so the fixed voters are tallied
     once per call whatever the answer.
 
     ``node_cap`` budgets search-tree terminals: evaluated leaves plus cut
-    branches.  It must be an integer >= 0, else ValueError is raised.
+    branches.  It must be an ``int`` >= 0 and not a ``bool``, else
+    ValueError is raised.
     Raises CapExhausted once answering would need more; any decision
     reached within the budget is exact.  The answer's ``mode`` names the
     vector's class (see :data:`MODES`), and its ``stats`` count the

@@ -20,6 +20,53 @@ Two voter blocks make the scores work out:
 Witnesses translate both ways: a subset maps to ballots whose members
 rank a above b, and winning ballots map back to the subset of voters
 ranking a above b.
+
+A winner is the unique winner
+-----------------------------
+
+The reduction claims that the coalition can make p *a* winner exactly
+when it can make p the *unique* winner.  The margins below show more:
+when every coalition ballot ranks p first, as :func:`verify_reduction`
+searches, p never ties a rival.  Write e for the normalized entries, a1 =
+e[0] for the top one and ar2 = e[r+1] for the last nonzero one (a1 >= ar2
+>= 1), T = 2*target*t_unit for the coalition's total weight and W for the
+equalizer weight.  For a rival x, G_x is x's coalition gain divided by
+t_unit, an integer since every coalition weight is a multiple of t_unit.
+p's coalition gain is T*a1.  The equalizers give every leader (p, a, b
+and the cycle candidates) the same r*W*S_top, with S_top the sum of the
+top ell+3 entries, so they cancel between p and any leader.  A padding
+candidate d_j sits at position j of every core ballot, so its core score
+is at most d1_score, d1's; it gets (ell+3)*W*S_rest from the equalizers,
+with S_rest the sum of the other r entries, and at most T*e[1] <= T*a1
+from a coalition that ranks p first.  And r*S_top - (ell+3)*S_rest >= 1:
+it is the sum of e[i] - e[k] over the top i and the other k, each term at
+least 0 and the one for i = 0, k = m-1 equal to a1.
+
+General case, t_unit = 2*(a1 + ar2), W = d1_score + 1:
+
+* the core gives p nothing and a and b (a1 + ar2)*(2*target*(2*a1 - ar2) - 1)
+  each, so p - a = (a1 + ar2)*(2*target*ar2 + 1 - 2*G_a), whose second
+  factor is odd and so never 0; the same holds for b;
+* each cycle candidate c gets (a1 + ar2)*(4*a1*target - 1) from the core,
+  so p - c = (a1 + ar2)*(1 - 2*G_c), never 0;
+* p - d_j >= W*(r*S_top - (ell+3)*S_rest) - d1_score >= W - d1_score = 1.
+
+Single-c case, t_unit = 3*(a1 + ar2), W = d1_score:
+
+* the six-ballot block gives p, a and b (a1 + ar2)*w_six each and c1 three
+  times that, with w_six = 3*a1*target - 1, and the a/b voters add
+  (a1 + ar2)*(3*target*(2*a1 - ar2) - 1) to a and to b, so p - a =
+  (a1 + ar2)*(3*target*ar2 + 1 - 3*G_a), never 0; the same holds for b;
+* p - c1 = (a1 + ar2)*(2 - 3*G_c), never 0;
+* p - d_j >= (a1 + ar2)*w_six + W - d1_score = (a1 + ar2)*w_six > 0.
+
+So every p-first co-win leaves p strictly ahead.  A co-win that does not
+rank p first stays a co-win when p moves to the top of every coalition
+ballot, so the claim holds for every assignment.  It also lets one
+co-winner search answer both questions: the first co-winning p-first
+assignment is a unique win, and no unique win comes before it, since that
+would be an earlier co-win.  :func:`verify_reduction` checks the claim on
+every "yes" it finds.
 """
 
 from __future__ import annotations
@@ -34,6 +81,7 @@ from .core import (
     Order,
     ScoringVector,
     WeightedVote,
+    _is_int,
     tally,
     unique_winner,
     winners,
@@ -55,7 +103,7 @@ class PartitionInstance:
     """Positive integers; the question is whether a subset hits half the total.
 
     Raises ValueError when built from no entries or from an entry that is
-    not an ``int`` >= 1.
+    not an ``int`` >= 1 (a ``bool`` is not one).
     """
 
     ks: tuple[int, ...]
@@ -65,7 +113,7 @@ class PartitionInstance:
         if not self.ks:
             raise ValueError("partition instances need at least one integer")
         for i, k in enumerate(self.ks, start=1):
-            if not isinstance(k, int) or k < 1:
+            if not _is_int(k) or k < 1:
                 raise ValueError(
                     f"partition entries must be integers >= 1, got {k!r} at position {i}"
                 )
@@ -89,7 +137,7 @@ class RoleMap:
     p=1 (preferred), a=2 and b=3 (the pair whose coalition split encodes
     the subset), then ``ell`` cycle candidates c1.. and ``r`` padding
     candidates d1.., so m = ell + r + 3.  Raises ValueError unless ``ell``
-    and ``r`` are both an ``int`` >= 0.
+    and ``r`` are both an ``int`` >= 0 (a ``bool`` is not one).
     """
 
     ell: int
@@ -100,7 +148,7 @@ class RoleMap:
 
     def __post_init__(self) -> None:
         for name, size in (("ell", self.ell), ("r", self.r)):
-            if not isinstance(size, int) or size < 0:
+            if not _is_int(size) or size < 0:
                 raise ValueError(f"{name} must be an integer >= 0, got {size!r}")
 
     @property
@@ -193,7 +241,7 @@ def build_core_voters(
     is >= 1.
     """
     rm = _role_map(alpha_norm, ell, r)
-    if not (isinstance(target, int) and target >= 1):
+    if not (_is_int(target) and target >= 1):
         raise ElectionError(f"target must be an integer >= 1, got {target!r}")
     e = alpha_norm.entries
     a1 = e[0]
@@ -246,7 +294,7 @@ def build_equalizer_voters(
     rm = _role_map(alpha_norm, ell, r)
     if r == 0:
         return ()
-    if not (isinstance(weight, int) and weight >= 1):
+    if not (_is_int(weight) and weight >= 1):
         raise ElectionError(f"equalizer weight must be an integer >= 1, got {weight!r}")
     leaders = [rm.a, rm.b, rm.p, *rm.cs]
     padding = list(rm.ds)
@@ -268,8 +316,8 @@ def reduce_partition(alpha: ScoringVector, part: PartitionInstance) -> Reduction
     padding candidates exist, and one coalition weight ``t_unit * k`` per
     input integer k, where t_unit is 2*(a1 + ar2) in the general case and
     3*(a1 + ar2) in the single-c case.  A subset summing to the target
-    exists iff the coalition can make candidate 1 win (equivalently: the
-    unique winner).
+    exists iff the coalition can make candidate 1 win, and then it can make
+    candidate 1 the unique winner (see the module docstring).
     """
     norm, ell, r = hardness_params(alpha)
     target = part.target
@@ -321,12 +369,13 @@ def extract_witness(art: ReductionArtifact, t_votes: Iterable[Order]) -> set[int
     table = tally(inst.profile(t_votes), inst.alpha)
     if inst.p not in winners(table):
         raise NotAWinner(f"candidate {inst.p} does not win under the supplied ballots")
-    rm = art.role_map
-    return {
-        i
-        for i, order in enumerate(t_votes, start=1)
-        if order.index(rm.a) < order.index(rm.b)
-    }
+    return _a_above_b(art, t_votes)
+
+
+def _a_above_b(art: ReductionArtifact, t_votes: tuple[Order, ...]) -> set[int]:
+    """The 1-based indices of the coalition ballots ranking a above b."""
+    a, b = art.role_map.a, art.role_map.b
+    return {i for i, order in enumerate(t_votes, start=1) if order.index(a) < order.index(b)}
 
 
 def solve_partition(part: PartitionInstance) -> set[int] | None:
@@ -368,9 +417,9 @@ class VerificationReport:
     """End-to-end cross-check of one vector/partition pair.
 
     ``mp`` and ``ump`` answer the co-winner and unique-winner questions.
-    When ``extraction_from_tie`` is False, ``ump`` was read off the
-    co-winner walk and is ``mp``'s answer, stats included; when it is
-    True, the unique walk ran and ``ump`` holds its stats.
+    Both come from one co-winner search: with p pinned first no gadget
+    ties p (see the module docstring), so ``ump`` is ``mp``, stats
+    included.
     """
 
     artifact: ReductionArtifact
@@ -380,7 +429,6 @@ class VerificationReport:
     forward_unique: bool | None  # partition-yes: forward ballots leave p alone on top
     extracted: frozenset[int] | None  # manipulation-yes: subset read off the ballots
     extracted_sum: int | None
-    extraction_from_tie: bool  # the first found ballots only tie p (still extractable)
     passed: bool
 
 
@@ -391,47 +439,41 @@ def verify_reduction(
 ) -> VerificationReport:
     """Check a reduction end to end and report every intermediate fact.
 
-    Passes when the partition oracle, the co-winner search, and the
-    unique-winner search all agree, a partition witness forwards to
-    ballots leaving p the unique winner, and extraction from found
-    ballots sums to the target.
+    Passes when the partition oracle and the search agree, a partition
+    witness forwards to ballots leaving p the unique winner, and
+    extraction from found ballots sums to the target.
 
-    Both answers come from one preparation of the gadget (p pinned
-    first) and its :meth:`~votemanip.manipulation._PreparedSearch.answers`:
-    the co-winner walk runs with the ``node_cap`` budget and checks its
-    "yes" by tallying only its witness ballots onto the kept fixed-voter
-    table.  A "no" answers both modes, and so does a witness that leaves p
-    alone on top, since each witness is its mode's lexicographically first
-    win and every unique win co-wins.  Only when the co-winner ballots
-    merely tie p (``extraction_from_tie``) does the unique walk run, with
-    its own budget, failed-state table and stats, so only then can the
-    second walk raise CapExhausted.  ``mp`` equals what ``brute_force``
-    returns, stats included, and its walk raises the same CapExhausted;
-    ``ump`` equals the unique ``brute_force`` answer in decision, witness
-    and mode, and carries the co-winner walk's stats when it was read off
-    that walk.
+    The gadget is prepared for search once (p pinned first) and walked
+    once, in the co-winner mode, with the ``node_cap`` budget; ``mp``
+    equals what ``brute_force`` returns, stats included, and the walk
+    raises the same CapExhausted.  By the module docstring's margins that
+    walk's answer is also the unique-winner answer, so ``ump`` is ``mp``;
+    a "yes" whose ballots leave p tied with a rival would disprove the
+    margins and raises ElectionError.  The walk's check of a "yes"
+    tallies only the coalition's ballots onto the kept fixed-voter scores,
+    and so does the forward check; the extracted subset is read off the
+    checked ballots without another tally.
     """
     art = reduce_partition(alpha, part)
     subset = solve_partition(part)
-    mp, ump = _PreparedSearch(art.instance, restrict_p_first=True).answers(node_cap)
+    search = _PreparedSearch(art.instance, restrict_p_first=True)
+    mp, table = search._answer(False, node_cap)
+    p = art.instance.p
+    if mp.decision and unique_winner(table) != p:
+        raise ElectionError("internal error: co-winning gadget ballots only tie p")
 
     forward_unique: bool | None = None
     if subset is not None:
-        votes = art.instance.profile(forward_witness(art, subset))
-        forward_unique = unique_winner(tally(votes, art.instance.alpha)) == art.instance.p
+        forward_unique = unique_winner(search.table(forward_witness(art, subset))) == p
 
     extracted: frozenset[int] | None = None
     extracted_sum: int | None = None
-    from_tie = False
     if mp.decision:
         assert mp.witness is not None
-        extracted = frozenset(extract_witness(art, mp.witness))
+        extracted = frozenset(_a_above_b(art, mp.witness))
         extracted_sum = sum(part.ks[i - 1] for i in extracted)
-        # each witness is its mode's first win and unique wins co-win: they differ iff mp
-        # only ties, which is also when the unique walk ran
-        from_tie = ump.witness != mp.witness
 
-    agree = (subset is not None) == mp.decision == ump.decision
+    agree = (subset is not None) == mp.decision
     forward_ok = forward_unique is not False
     extract_ok = extracted_sum is None or extracted_sum == art.target
     passed = agree and forward_ok and extract_ok
@@ -439,10 +481,9 @@ def verify_reduction(
         artifact=art,
         partition_witness=None if subset is None else frozenset(subset),
         mp=mp,
-        ump=ump,
+        ump=mp,
         forward_unique=forward_unique,
         extracted=extracted,
         extracted_sum=extracted_sum,
-        extraction_from_tie=from_tie,
         passed=passed,
     )

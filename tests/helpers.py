@@ -58,8 +58,9 @@ def count_vector_builds(monkeypatch):
 
 
 def count_tallied_ballots(monkeypatch):
-    """Record how many ballots each tally the search runs from here on reads."""
+    """Record how many ballots each tally the search and the reduction run from here on read."""
     import votemanip.manipulation as manipulation
+    import votemanip.reduction as reduction
 
     counts = []
 
@@ -69,6 +70,7 @@ def count_tallied_ballots(monkeypatch):
         return tally(votes, alpha)
 
     monkeypatch.setattr(manipulation, "tally", counted)
+    monkeypatch.setattr(reduction, "tally", counted)
     return counts
 
 

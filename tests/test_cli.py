@@ -1,4 +1,3 @@
-import dataclasses
 import io
 import sys
 from pathlib import Path
@@ -15,7 +14,6 @@ from votemanip import (
     WeightedVote,
     forward_witness,
     reduce_partition,
-    verify_reduction,
 )
 from votemanip.cli import (
     ParseError,
@@ -664,16 +662,6 @@ class TestVerifyCommand:
 
     def test_odd_total(self, capsys):
         assert run_command(["verify", "--alpha", "1 1 0", "--partition", "3"]) == 2
-
-    def test_extraction_from_tie_line(self, capsys, monkeypatch):
-        # no gadget tried so far sets the flag, so a real yes report is given it
-        report = verify_reduction(ScoringVector((1, 1, 0)), PartitionInstance((1, 1)))
-        tied = dataclasses.replace(report, extraction_from_tie=True)
-        monkeypatch.setattr("votemanip.cli.verify_reduction", lambda *args, **kwargs: tied)
-        assert run_command(["verify", "--alpha", "1 1 0", "--partition", "1 1"]) == 0
-        assert capsys.readouterr().out.endswith(
-            "extracted-sum 1\nextraction-from-tie yes\nverdict pass\n"
-        )
 
 
 class TestDispatcher:

@@ -24,8 +24,6 @@ from votemanip import (
     solve,
     solve_all_equal,
     solve_plurality_like,
-    tally,
-    unique_winner,
 )
 from votemanip.cli import parse_instance
 from votemanip.manipulation import _row_ballots
@@ -38,7 +36,6 @@ from votemanip.reduction import (
 from helpers import (
     count_tallied_ballots,
     count_vector_builds,
-    count_walks,
     product_oracle,
     random_instance,
     random_nonincreasing,
@@ -612,51 +609,6 @@ class TestPreparedSearch:
             assert got == lone and got.stats == lone.stats, (i, unique, restrict, cap)
             extended += 0 < built < len(search.ballots)
         assert extended >= 30
-
-    def test_answers_walk_twice_only_after_a_tie(self, monkeypatch):
-        rng = random.Random(21)
-        walks = count_walks(monkeypatch)
-        branches = {"no": 0, "unique": 0, "tie": 0}
-        second_stops = 0
-        for trial in range(1200):
-            restrict = trial % 2 == 0
-            # small entries and weights tie often, and up to 8 fixed voters
-            # leave p out of reach often enough
-            alpha = random_nonincreasing(rng, rng.randint(1, 5), lo=-2, hi=3)
-            i = random_instance(rng, alpha, max_voters=8, max_coalition=4, max_weight=3)
-            lone = [brute_force(i, unique, restrict_p_first=restrict) for unique in (False, True)]
-            walks.clear()
-            mp, ump = manipulation._PreparedSearch(i, restrict).answers(
-                manipulation.DEFAULT_NODE_CAP
-            )
-            assert (mp, ump) == tuple(lone) and mp.stats == lone[0].stats, (i, restrict)
-            # an independent re-tally of the whole profile names the branch
-            tie = mp.decision and unique_winner(tally(i.profile(mp.witness), i.alpha)) != i.p
-            branch = "tie" if tie else "unique" if mp.decision else "no"
-            branches[branch] += 1
-            assert walks == ([False, True] if tie else [False]), (i, restrict)
-            assert ump.stats == (lone[1] if tie else mp).stats, (i, restrict)
-            # a budget the co-winner walk exceeds stops it as it stops a lone call
-            cap = mp.stats.terminals - 1
-            with pytest.raises(CapExhausted) as shared:
-                manipulation._PreparedSearch(i, restrict).answers(cap)
-            with pytest.raises(CapExhausted) as alone:
-                brute_force(i, False, cap, restrict_p_first=restrict)
-            assert str(shared.value) == str(alone.value)
-            assert shared.value.stats == alone.value.stats
-            # enough for the co-winner walk: only a tie walks again, and only it can run out
-            cap = mp.stats.terminals
-            if tie and lone[1].stats.terminals > cap:
-                second_stops += 1
-                with pytest.raises(CapExhausted) as shared:
-                    manipulation._PreparedSearch(i, restrict).answers(cap)
-                with pytest.raises(CapExhausted) as alone:
-                    brute_force(i, True, cap, restrict_p_first=restrict)
-                assert str(shared.value) == str(alone.value)
-                assert shared.value.stats == alone.value.stats
-            else:
-                assert manipulation._PreparedSearch(i, restrict).answers(cap) == (mp, ump)
-        assert min(branches.values()) >= 100 and second_stops >= 50, (branches, second_stops)
 
     @pytest.mark.parametrize("restrict", [True, False])
     def test_vector_ending_in_zero_is_searched_uncopied(self, monkeypatch, restrict):

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -9,6 +10,7 @@ from votemanip import (
     GadgetCase,
     NotAWinner,
     NonPermutationOrder,
+    NonPositiveScale,
     NotHard,
     OddSum,
     PartitionInstance,
@@ -17,6 +19,7 @@ from votemanip import (
     ScoringFamily,
     ScoringVector,
     RuleClass,
+    UnsupportedM,
     WeightedVote,
     brute_force,
     build_core_voters,
@@ -26,6 +29,8 @@ from votemanip import (
     family_vector,
     forward_witness,
     reduce_partition,
+    scale,
+    shift,
     solve_partition,
     tally,
     unique_winner,
@@ -419,7 +424,6 @@ class TestVerifyReduction:
         assert report.forward_unique is True
         assert report.extracted == frozenset({1})
         assert report.extracted_sum == 1
-        assert report.extraction_from_tie is False
 
     def test_no_case(self):
         report = verify_reduction(VETO3, PI((1, 1, 4)))
@@ -491,10 +495,8 @@ class TestVerifySharesOneSearch:
     """verify_reduction answers both questions from one prepared search."""
 
     def test_matches_lone_searches(self):
-        # ump is read off the co-winner walk, stats included, unless the
-        # co-winner ballots only tie p; no gadget's do, so the unique walk
-        # and its budget are covered on random instances by
-        # test_manipulation's TestPreparedSearch
+        # ump is the co-winner walk's answer, stats included, and what a
+        # lone unique search finds
         rng = random.Random(11)
         for trial in range(320):
             alpha, part = random_gadget_inputs(rng, yes=trial % 2 == 0)
@@ -503,10 +505,7 @@ class TestVerifySharesOneSearch:
             inst = report.artifact.instance
             lone = brute_force(inst, False)
             assert report.mp == lone and report.mp.stats == lone.stats, (alpha, part)
-            lone = brute_force(inst, True)
-            assert report.ump == lone, (alpha, part)
-            walked = report.extraction_from_tie
-            assert report.ump.stats == (lone if walked else report.mp).stats, (alpha, part)
+            assert report.ump is report.mp and report.ump == brute_force(inst, True), (alpha, part)
             # a budget the first walk exceeds
             first = report.mp.stats.terminals
             with pytest.raises(CapExhausted) as shared:
@@ -553,27 +552,28 @@ class TestVerifySharesOneSearch:
 
     @pytest.mark.parametrize("entries,ks", [((1, 1, 0), (1, 1, 2)), ((5, 4, 3, 2, 1), (3, 5, 2, 4))])
     def test_fixed_voters_tallied_once(self, monkeypatch, entries, ks):
-        # one fixed-voter tally, and the yes tallies only its coalition's
-        # ballots on top; p is alone on top, so that one check answers the
-        # unique question too: F + n ballots, where two walks read F + 2n
+        # one fixed-voter tally; the yes check and the forward check each
+        # tally only the coalition's ballots on top, and the extracted
+        # subset is read off the checked ballots: F + 2n ballots, where
+        # re-tallying the whole profile for both read 3F + 3n
         counts = count_tallied_ballots(monkeypatch)
         report = verify_reduction(SV(entries), PI(ks))
         assert report.passed and report.mp.decision and report.ump.decision
-        inst = report.artifact.instance
-        fixed, n = len(inst.s_voters), len(inst.t_weights)
-        assert counts == [fixed, n]
+        art = report.artifact
+        fixed, n = len(art.instance.s_voters), len(art.instance.t_weights)
+        # with padding, reduce_partition tallies the core voters for d1's score
+        core = [fixed - (art.ell + 3) * art.r] if art.r else []
+        assert counts == core + [fixed, n, n]
 
     @pytest.mark.parametrize(
         "entries,ks,yes",
         [((1, 1, 0), (1, 1, 4), False), ((5, 4, 3, 2, 1), (3, 5, 2, 4), True)],
     )
     def test_one_walk_answers_both_modes(self, monkeypatch, entries, ks, yes):
-        # a "no", or co-winner ballots that leave p alone on top, answer the
-        # unique question too
+        # no gadget ties p, so the co-winner walk answers the unique question too
         walks = count_walks(monkeypatch)
         report = verify_reduction(SV(entries), PI(ks))
         assert report.passed and report.mp.decision == report.ump.decision == yes
-        assert not report.extraction_from_tie
         assert walks == [False]
 
     def test_normalized_gadget_builds_no_vector(self, monkeypatch):
@@ -613,13 +613,91 @@ class TestExtractionFromTie:
             ties += tie
         assert yes >= 1000 and ties >= 250, (yes, ties)
 
-    def test_gadget_reports_match_a_retally(self):
-        rng = random.Random(15)
-        for _ in range(150):
-            report = verify_reduction(*random_gadget_inputs(rng, yes=True))
-            assert report.mp.decision
-            tie = only_ties(report.artifact.instance, report.mp.witness)
-            assert report.extraction_from_tie == tie
+
+class TestNoGadgetTiesP:
+    """The module docstring's margin proof, checked on every p-first assignment."""
+
+    # one vector per branch of the proof: (case, ell, r)
+    BRANCHES = [
+        ((1, 1, 0), (GadgetCase.GENERAL, 0, 0)),
+        ((3, 2, 1, 0), (GadgetCase.GENERAL, 0, 1)),
+        ((1, 1, 0, 0, 0), (GadgetCase.GENERAL, 2, 0)),
+        ((3, 2, 1, 0, 0, 0), (GadgetCase.GENERAL, 2, 1)),
+        ((1, 1, 0, 0), (GadgetCase.SINGLE_C, 1, 0)),
+        ((5, 4, 3, 1, 1), (GadgetCase.SINGLE_C, 1, 1)),
+    ]
+
+    # four yes partitions, then three no partitions
+    PARTITIONS = [(1, 1), (1, 1, 2), (1, 2, 3), (3, 5, 2, 4), (2, 4), (1, 1, 4), (2, 2, 2, 4)]
+
+    @pytest.mark.parametrize("entries,branch", BRANCHES, ids=[str(e) for e, _ in BRANCHES])
+    @pytest.mark.parametrize("ks", PARTITIONS)
+    def test_every_co_win_leaves_p_strictly_ahead(self, entries, branch, ks):
+        art = reduce_partition(SV(entries), PI(ks))
+        assert (art.case, art.ell, art.r) == branch
+        inst = art.instance
+        m, p, e = art.role_map.m, inst.p, inst.alpha.entries
+        fixed = tally(inst.s_voters, inst.alpha)
+        rivals = [c for c in range(1, m + 1) if c != p]
+        # each candidate's entry under every ballot ranking p first, once per distinct row
+        rows = set()
+        for order in itertools.permutations(rivals):
+            ballot = (p, *order)
+            rows.add(tuple(e[ballot.index(c)] for c in range(1, m + 1)))
+        co_wins = ties = 0
+        for picks in itertools.product(sorted(rows), repeat=len(inst.t_weights)):
+            scores = [fixed[c] for c in range(1, m + 1)]
+            for w, row in zip(inst.t_weights, picks):
+                scores = [s + w * x for s, x in zip(scores, row)]
+            best_rival = max(scores[c - 1] for c in rivals)
+            co_wins += scores[p - 1] >= best_rival
+            ties += scores[p - 1] == best_rival
+        assert ties == 0
+        assert (co_wins > 0) == (solve_partition(PI(ks)) is not None)
+
+    def test_a_tied_yes_raises(self, monkeypatch):
+        # a witness check that finds a rival level with p disproves the
+        # margins, so the report is not built
+        table = manipulation._PreparedSearch.table
+
+        def tied(search, ballots):
+            scores = table(search, ballots)
+            scores[RoleMap.a] = scores[search.inst.p]
+            return scores
+
+        monkeypatch.setattr(manipulation._PreparedSearch, "table", tied)
+        with pytest.raises(ElectionError, match="internal error: .* only tie p"):
+            verify_reduction(VETO3, PI((1, 1)))
+
+
+VETO_GADGET = reduce_partition(VETO3, PI((1, 1))).instance
+
+
+@pytest.mark.parametrize(
+    "build,error",
+    [
+        (lambda: PI((True, 1)), ValueError),
+        (lambda: RoleMap(True, 0), ValueError),
+        (lambda: RoleMap(0, True), ValueError),
+        (lambda: build_core_voters(VETO3, 0, 0, True), ElectionError),
+        (lambda: build_equalizer_voters(SV((3, 2, 1, 0)), 0, 1, True), ElectionError),
+        (lambda: brute_force(VETO_GADGET, node_cap=True), ValueError),
+        (lambda: verify_reduction(VETO3, PI((1, 1)), node_cap=False), ValueError),
+        (lambda: ScoringFamily.k_approval(True), ValueError),
+        (lambda: ScoringFamily.constant(True), ValueError),
+        (lambda: ScoringFamily.explicit({True: SV((1,))}), ValueError),
+        (lambda: family_vector(ScoringFamily.borda(), True), UnsupportedM),
+        (lambda: shift(VETO3, True), TypeError),
+        (lambda: scale(VETO3, True), NonPositiveScale),
+    ],
+    ids=[
+        "partition", "ell", "r", "target", "equalizer-weight", "brute-force-cap",
+        "verify-cap", "k-approval", "constant", "explicit-size", "family-m", "shift", "scale",
+    ],
+)
+def test_bool_is_no_integer(build, error):
+    with pytest.raises(error):
+        build()
 
 
 class TestWideReduction:
