@@ -15,7 +15,7 @@ Two voter blocks make the scores work out:
 * when padding candidates exist, equalizer voters (every cyclic rotation
   of the leaders block crossed with every rotation of the padding block)
   tie p, a, b and the cycle candidates while leaving each padding
-  candidate at least one full equalizer weight behind.
+  candidate at least three full equalizer weights behind.
 
 Witnesses translate both ways: a subset maps to ballots whose members
 rank a above b, and winning ballots map back to the subset of voters
@@ -36,11 +36,14 @@ p's coalition gain is T*a1.  The equalizers give every leader (p, a, b
 and the cycle candidates) the same r*W*S_top, with S_top the sum of the
 top ell+3 entries, so they cancel between p and any leader.  A padding
 candidate d_j sits at position j of every core ballot, so its core score
-is at most d1_score, d1's; it gets (ell+3)*W*S_rest from the equalizers,
-with S_rest the sum of the other r entries, and at most T*e[1] <= T*a1
-from a coalition that ranks p first.  And r*S_top - (ell+3)*S_rest >= 1:
-it is the sum of e[i] - e[k] over the top i and the other k, each term at
-least 0 and the one for i = 0, k = m-1 equal to a1.
+is at most d1_score = e[1]*(the core voters' total weight), d1's; it gets
+(ell+3)*W*S_rest from the equalizers, with S_rest the sum of the other r
+entries, and at most T*e[1] <= T*a1 from a coalition that ranks p first.
+And r*S_top - (ell+3)*S_rest >= e[0] + e[1] + e[2] >= 3: it is the sum of
+e[i] - e[k] over the top i and the other k, each term at least 0, and the
+three that pair i = 0, 1, 2 with the last position k = m-1, one of the
+other r with e[m-1] = 0, add up to e[0] + e[1] + e[2], and each of those
+is at least e[r+1] >= 1 since 2 <= r+1.
 
 General case, t_unit = 2*(a1 + ar2), W = d1_score + 1:
 
@@ -49,7 +52,9 @@ General case, t_unit = 2*(a1 + ar2), W = d1_score + 1:
   factor is odd and so never 0; the same holds for b;
 * each cycle candidate c gets (a1 + ar2)*(4*a1*target - 1) from the core,
   so p - c = (a1 + ar2)*(1 - 2*G_c), never 0;
-* p - d_j >= W*(r*S_top - (ell+3)*S_rest) - d1_score >= W - d1_score = 1.
+* p - d_j >= W*(r*S_top - (ell+3)*S_rest) - d1_score >= 3*W - d1_score
+  >= 2*W > 0, so the margin does not need W's "+ 1" (it stays part of the
+  gadget: dropping it would change every padded general gadget).
 
 Single-c case, t_unit = 3*(a1 + ar2), W = d1_score:
 
@@ -58,7 +63,7 @@ Single-c case, t_unit = 3*(a1 + ar2), W = d1_score:
   (a1 + ar2)*(3*target*(2*a1 - ar2) - 1) to a and to b, so p - a =
   (a1 + ar2)*(3*target*ar2 + 1 - 3*G_a), never 0; the same holds for b;
 * p - c1 = (a1 + ar2)*(2 - 3*G_c), never 0;
-* p - d_j >= (a1 + ar2)*w_six + W - d1_score = (a1 + ar2)*w_six > 0.
+* p - d_j >= (a1 + ar2)*w_six + 3*W - d1_score = (a1 + ar2)*w_six + 2*W > 0.
 
 So every p-first co-win leaves p strictly ahead.  A co-win that does not
 rank p first stays a co-win when p moves to the top of every coalition
@@ -243,19 +248,26 @@ def build_core_voters(
     rm = _role_map(alpha_norm, ell, r)
     if not (_is_int(target) and target >= 1):
         raise ElectionError(f"target must be an integer >= 1, got {target!r}")
-    e = alpha_norm.entries
-    a1 = e[0]
-    ar2 = e[r + 1]
+    return _core_voters(rm, alpha_norm.entries, target)[2]
+
+
+def _core_voters(
+    rm: RoleMap, e: tuple[int, ...], target: int
+) -> tuple[GadgetCase, int, tuple[WeightedVote, ...]]:
+    """The checked gadget's case, t_unit and core voters (see :func:`build_core_voters`)."""
+    a1, ar2 = e[0], e[rm.r + 1]
+    case = GadgetCase.SINGLE_C if rm.ell == 1 else GadgetCase.GENERAL
+    k = 2 if case is GadgetCase.GENERAL else 3  # t_unit is k*(a1 + ar2)
     ds, cs = rm.ds, rm.cs
-    w_ab = (2 if ell != 1 else 3) * target * (2 * a1 - ar2) - 1
+    w_ab = k * target * (2 * a1 - ar2) - 1
     voters = [
         WeightedVote(w_ab, (rm.a, *ds, rm.b, rm.p, *cs)),
         WeightedVote(w_ab, (rm.b, *ds, rm.a, rm.p, *cs)),
     ]
-    if ell != 1:
+    if case is GadgetCase.GENERAL:
         w_c = 4 * a1 * target - 1
-        for i in range(1, ell + 1):
-            partner = rm.c(1 + (i % ell))
+        for i in range(1, rm.ell + 1):
+            partner = rm.c(1 + (i % rm.ell))
             head = [rm.c(i), *ds, partner, rm.a, rm.b, rm.p]
             rest = [c for c in range(1, rm.m + 1) if c not in head]
             voters.append(WeightedVote(w_c, tuple(head + rest)))
@@ -272,7 +284,7 @@ def build_core_voters(
         )
         for first, second, third, fourth in six:
             voters.append(WeightedVote(w_six, tuple([first, *ds, second, third, fourth])))
-    return tuple(voters)
+    return case, k * (a1 + ar2), tuple(voters)
 
 
 def build_equalizer_voters(
@@ -287,7 +299,7 @@ def build_equalizer_voters(
     (ell+3)*r ballots.  Every leader then gains r*weight*(sum of the top
     ell+3 entries) while every padding candidate gains (ell+3)*weight*(sum
     of the rest), which on a normalized hard vector trails the leaders by
-    more than one full weight.  Checks ``alpha_norm``, ``ell`` and ``r``
+    at least three full weights.  Checks ``alpha_norm``, ``ell`` and ``r``
     as :func:`build_core_voters` does, and ``weight``, read only with
     padding, must then be an ``int`` >= 1 (ElectionError otherwise).
     """
@@ -296,15 +308,18 @@ def build_equalizer_voters(
         return ()
     if not (_is_int(weight) and weight >= 1):
         raise ElectionError(f"equalizer weight must be an integer >= 1, got {weight!r}")
+    return _equalizer_voters(rm, weight)
+
+
+def _equalizer_voters(rm: RoleMap, weight: int) -> tuple[WeightedVote, ...]:
+    """The checked gadget's equalizer voters (see :func:`build_equalizer_voters`)."""
     leaders = [rm.a, rm.b, rm.p, *rm.cs]
     padding = list(rm.ds)
-    voters = []
-    for i in range(ell + 3):
-        head = leaders[i:] + leaders[:i]
-        for j in range(r):
-            tail = padding[j:] + padding[:j]
-            voters.append(WeightedVote(weight, tuple(head + tail)))
-    return tuple(voters)
+    return tuple(
+        WeightedVote(weight, tuple(leaders[i:] + leaders[:i] + padding[j:] + padding[:j]))
+        for i in range(rm.ell + 3)
+        for j in range(rm.r)
+    )
 
 
 def reduce_partition(alpha: ScoringVector, part: PartitionInstance) -> ReductionArtifact:
@@ -322,20 +337,16 @@ def reduce_partition(alpha: ScoringVector, part: PartitionInstance) -> Reduction
     norm, ell, r = hardness_params(alpha)
     target = part.target
     rm = RoleMap(ell, r)
-    core = build_core_voters(norm, ell, r, target)
+    e = norm.entries
+    case, t_unit, core = _core_voters(rm, e, target)
     eq_weight = 0
     if r > 0:
-        d1_score = tally(core, norm)[rm.d(1)]
-        # The strict leader margin needs one extra point in the general
-        # case; the single-c core already keeps p strictly ahead on its own.
-        eq_weight = d1_score + 1 if ell != 1 else d1_score
-    equalizers = build_equalizer_voters(norm, ell, r, eq_weight)
-    a1 = norm.entries[0]
-    ar2 = norm.entries[r + 1]
-    t_unit = (2 if ell != 1 else 3) * (a1 + ar2)
+        # d1 is second on every core ballot; the general case's extra point
+        # is not needed for p's margin (see the module docstring)
+        d1_score = e[1] * sum(v.weight for v in core)
+        eq_weight = d1_score + 1 if case is GadgetCase.GENERAL else d1_score
     t_weights = tuple(t_unit * k for k in part.ks)
-    instance = ManipulationInstance(norm, core + equalizers, t_weights, rm.p)
-    case = GadgetCase.GENERAL if ell != 1 else GadgetCase.SINGLE_C
+    instance = ManipulationInstance(norm, core + _equalizer_voters(rm, eq_weight), t_weights, rm.p)
     return ReductionArtifact(instance, rm, case, ell, r, target, eq_weight, t_unit, part)
 
 

@@ -57,6 +57,23 @@ def count_vector_builds(monkeypatch):
     return built
 
 
+def count_classifications(monkeypatch):
+    """Record the vector of every ``classify`` call the library makes from here on."""
+    import votemanip.dichotomy as dichotomy
+    import votemanip.manipulation as manipulation
+
+    classified = []
+    classify = dichotomy.classify
+
+    def counted(alpha):
+        classified.append(alpha.entries)
+        return classify(alpha)
+
+    monkeypatch.setattr(dichotomy, "classify", counted)
+    monkeypatch.setattr(manipulation, "classify", counted)
+    return classified
+
+
 def count_tallied_ballots(monkeypatch):
     """Record how many ballots each tally the search and the reduction run from here on read."""
     import votemanip.manipulation as manipulation

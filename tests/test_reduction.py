@@ -28,6 +28,7 @@ from votemanip import (
     extract_witness,
     family_vector,
     forward_witness,
+    hardness_params,
     reduce_partition,
     scale,
     shift,
@@ -37,6 +38,7 @@ from votemanip import (
     verify_reduction,
 )
 from helpers import (
+    count_classifications,
     count_tallied_ballots,
     count_vector_builds,
     count_walks,
@@ -340,6 +342,53 @@ class TestReducePartition:
             reduce_partition(VETO3, PI((1, 1, 1)))
 
 
+class TestGadgetFacts:
+    """reduce_partition classifies once and reads d1's score off the core weights."""
+
+    @pytest.mark.parametrize("r", [1, 2, 3])
+    @pytest.mark.parametrize("ell", [0, 1, 2, 3])
+    def test_equalizer_weight_is_d1s_core_score(self, ell, r):
+        # ell + 1 trailing zeros below r + 2 distinct positive entries
+        entries = tuple(range(r + 2, 0, -1)) + (0,) * (ell + 1)
+        for ks in [(1, 1), (1, 2, 3), (3, 5, 2, 4), (7, 9)]:
+            art = reduce_partition(SV(entries), PI(ks))
+            assert (art.ell, art.r) == (ell, r)
+            alpha = art.instance.alpha
+            core = build_core_voters(alpha, ell, r, art.target)
+            d1_score = tally(core, alpha)[art.role_map.d(1)]
+            general = art.case is GadgetCase.GENERAL
+            assert general == (ell != 1)
+            assert art.equalizer_weight == d1_score + general, (entries, ks)
+
+    @pytest.mark.parametrize("entries", [(1, 1, 0), (1, 1, 0, 0), (3, 2, 1, 0), (5, 4, 3, 1, 1)])
+    def test_one_classification_and_no_tally(self, monkeypatch, entries):
+        classified = count_classifications(monkeypatch)
+        tallied = count_tallied_ballots(monkeypatch)
+        reduce_partition(SV(entries), PI((1, 2, 3)))
+        assert classified == [entries] and tallied == []
+
+    def test_padding_trails_by_three_equalizer_weights(self):
+        # the module docstring's r*S_top - (ell+3)*S_rest >= e[0] + e[1] + e[2] >= 3,
+        # read off a weight-1 equalizer block, for every padded hard vector
+        # with m <= 8 and entries in 0..4
+        margins = {}
+        for m in range(3, 9):
+            for entries in itertools.combinations_with_replacement(range(4, -1, -1), m):
+                dc = classify(SV(entries))
+                if dc.tag is not RuleClass.HARD or dc.r == 0:
+                    continue
+                norm, ell, r = hardness_params(SV(entries))
+                rm = RoleMap(ell, r)
+                table = tally(build_equalizer_voters(norm, ell, r, 1), norm)
+                leaders = (rm.p, rm.a, rm.b, *rm.cs)
+                margin = min(table[c] for c in leaders) - max(table[d] for d in rm.ds)
+                e = norm.entries
+                assert margin >= e[0] + e[1] + e[2] >= 3, entries
+                margins[entries] = margin
+        assert len(margins) == 1056
+        assert min(margins.values()) == margins[(1, 1, 1, 0)] == 3
+
+
 class TestWitnessTranslation:
     def art(self):
         return reduce_partition(VETO3, PI((1, 1)))
@@ -555,15 +604,14 @@ class TestVerifySharesOneSearch:
         # one fixed-voter tally; the yes check and the forward check each
         # tally only the coalition's ballots on top, and the extracted
         # subset is read off the checked ballots: F + 2n ballots, where
-        # re-tallying the whole profile for both read 3F + 3n
+        # re-tallying the whole profile for both read 3F + 3n.  Building
+        # the gadget tallies nothing, padded or not.
         counts = count_tallied_ballots(monkeypatch)
         report = verify_reduction(SV(entries), PI(ks))
         assert report.passed and report.mp.decision and report.ump.decision
         art = report.artifact
         fixed, n = len(art.instance.s_voters), len(art.instance.t_weights)
-        # with padding, reduce_partition tallies the core voters for d1's score
-        core = [fixed - (art.ell + 3) * art.r] if art.r else []
-        assert counts == core + [fixed, n, n]
+        assert counts == [fixed, n, n]
 
     @pytest.mark.parametrize(
         "entries,ks,yes",
@@ -577,8 +625,8 @@ class TestVerifySharesOneSearch:
         assert walks == [False]
 
     def test_normalized_gadget_builds_no_vector(self, monkeypatch):
-        # veto m=3 is its own normal form: classifying it, the builders'
-        # input checks and the search all use the vector as given
+        # veto m=3 is its own normal form: classifying it, building the
+        # gadget and the search all use the vector as given
         alpha = SV((1, 1, 0))
         built = count_vector_builds(monkeypatch)
         report = verify_reduction(alpha, PI((1, 1, 2)))
