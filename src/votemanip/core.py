@@ -177,14 +177,14 @@ def is_permutation(order: Sequence[int], m: int) -> bool:
 def _non_permutations(orders: Sequence[Order], m: int) -> list[int]:
     """Indices of the orders that are not permutations of 1..m.
 
-    Each distinct order is checked once; orders with unhashable items
-    are checked one by one.
+    Each distinct ballot object is checked once (a parsed profile shares
+    one tuple per ballot text).  Equal values are not merged, since
+    ``(True, 2, 3) == (1, 2, 3)`` with equal hashes, and no ballot is
+    hashed, so unhashable ones are checked like any other.
     """
-    try:
-        bad = {order for order in set(orders) if not is_permutation(order, m)}
-    except TypeError:
-        return [i for i, order in enumerate(orders) if not is_permutation(order, m)]
-    return [i for i, order in enumerate(orders) if order in bad] if bad else []
+    distinct = {id(order): order for order in orders}
+    bad = {key for key, order in distinct.items() if not is_permutation(order, m)}
+    return [i for i, order in enumerate(orders) if id(order) in bad] if bad else []
 
 
 def tally(votes: Iterable[WeightedVote], alpha: ScoringVector) -> ScoreTable:

@@ -92,7 +92,7 @@ from .core import (
     winners,
 )
 from .dichotomy import hardness_params
-from .manipulation import DEFAULT_NODE_CAP, ManipulationAnswer, _PreparedSearch
+from .manipulation import DEFAULT_NODE_CAP, ManipulationAnswer, _search, _with_coalition
 
 
 class OddSum(ElectionError):
@@ -392,30 +392,27 @@ def _a_above_b(art: ReductionArtifact, t_votes: tuple[Order, ...]) -> set[int]:
 def solve_partition(part: PartitionInstance) -> set[int] | None:
     """Subset of 1-based indices summing to half the total, or None.
 
-    Suffix-reachability dynamic program over sums up to the target, then
-    a left-to-right reconstruction that takes an index whenever the rest
-    can still finish, which yields the lexicographically smallest witness.
-    Odd totals have no witness.
+    Suffix-reachability dynamic program over sums up to the target, one
+    integer bitset per suffix (bit v of ``reach[i]`` is set when some
+    subset of ``ks[i:]`` sums to v), then a left-to-right reconstruction
+    that takes an index whenever the rest can still finish, which yields
+    the lexicographically smallest witness.  Odd totals have no witness.
     """
     if part.total % 2:
         return None
     target = part.total // 2
     ks = part.ks
     n = len(ks)
-    reachable: list[set[int]] = [set() for _ in range(n + 1)]
-    reachable[n] = {0}
+    mask = (1 << target + 1) - 1
+    reach = [1] * (n + 1)
     for i in range(n - 1, -1, -1):
-        sums = set(reachable[i + 1])
-        for v in reachable[i + 1]:
-            if v + ks[i] <= target:
-                sums.add(v + ks[i])
-        reachable[i] = sums
-    if target not in reachable[0]:
+        reach[i] = (reach[i + 1] | (reach[i + 1] << ks[i])) & mask
+    if not (reach[0] >> target) & 1:
         return None
     picked: set[int] = set()
     remaining = target
     for i in range(n):
-        if ks[i] <= remaining and (remaining - ks[i]) in reachable[i + 1]:
+        if ks[i] <= remaining and (reach[i + 1] >> (remaining - ks[i])) & 1:
             picked.add(i + 1)
             remaining -= ks[i]
     if remaining:
@@ -454,28 +451,28 @@ def verify_reduction(
     witness forwards to ballots leaving p the unique winner, and
     extraction from found ballots sums to the target.
 
-    The gadget is prepared for search once (p pinned first) and walked
-    once, in the co-winner mode, with the ``node_cap`` budget; ``mp``
+    The gadget is searched once (p pinned first), in the co-winner
+    mode, with the ``node_cap`` budget; ``mp``
     equals what ``brute_force`` returns, stats included, and the walk
     raises the same CapExhausted.  By the module docstring's margins that
     walk's answer is also the unique-winner answer, so ``ump`` is ``mp``;
     a "yes" whose ballots leave p tied with a rival would disprove the
     margins and raises ElectionError.  The walk's check of a "yes"
-    tallies only the coalition's ballots onto the kept fixed-voter scores,
-    and so does the forward check; the extracted subset is read off the
+    tallies only the coalition's ballots onto the search's fixed-voter
+    table, and so does the forward check; the extracted subset is read off the
     checked ballots without another tally.
     """
     art = reduce_partition(alpha, part)
     subset = solve_partition(part)
-    search = _PreparedSearch(art.instance, restrict_p_first=True)
-    mp, table = search._answer(False, node_cap)
+    mp, fixed, table = _search(art.instance, False, node_cap, restrict_p_first=True)
     p = art.instance.p
     if mp.decision and unique_winner(table) != p:
         raise ElectionError("internal error: co-winning gadget ballots only tie p")
 
     forward_unique: bool | None = None
     if subset is not None:
-        forward_unique = unique_winner(search.table(forward_witness(art, subset))) == p
+        forward = _with_coalition(art.instance, fixed, forward_witness(art, subset))
+        forward_unique = unique_winner(forward) == p
 
     extracted: frozenset[int] | None = None
     extracted_sum: int | None = None

@@ -92,18 +92,38 @@ def count_tallied_ballots(monkeypatch):
 
 
 def count_walks(monkeypatch):
-    """Record the winner mode (``unique``) of every search walk run from here on."""
-    from votemanip.manipulation import _PreparedSearch
+    """Record the winner mode (``unique``) of every search run from here on."""
+    import votemanip.manipulation as manipulation
+    import votemanip.reduction as reduction
 
     walks = []
-    walk = _PreparedSearch._walk
+    search = manipulation._search
 
-    def counted(search, unique, node_cap):
+    def counted(inst, unique, node_cap, restrict_p_first):
         walks.append(unique)
-        return walk(search, unique, node_cap)
+        return search(inst, unique, node_cap, restrict_p_first)
 
-    monkeypatch.setattr(_PreparedSearch, "_walk", counted)
+    monkeypatch.setattr(manipulation, "_search", counted)
+    monkeypatch.setattr(reduction, "_search", counted)
     return walks
+
+
+def count_row_builds(monkeypatch):
+    """One list per score-row generator made from here on, holding the ballots drawn from it."""
+    import votemanip.manipulation as manipulation
+
+    drawn = []
+    build = manipulation._row_ballots
+
+    def counted(*args):
+        ballots = []
+        drawn.append(ballots)
+        for ballot, row in build(*args):
+            ballots.append(ballot)
+            yield ballot, row
+
+    monkeypatch.setattr(manipulation, "_row_ballots", counted)
+    return drawn
 
 
 def random_instance(rng, alpha, max_voters=4, max_coalition=3, max_weight=20):

@@ -82,7 +82,9 @@ class TestWeightedVote:
 class TestProfile:
     def test_coalition_ballots_must_be_permutations(self):
         inst = ManipulationInstance(ScoringVector((2, 1, 0)), (), (1, 1), 1)
-        for bad in ((1, 2, 2), (1, 2), (1, 2, 3, 4), (0, 1, 2), ([1], [2], [3]), (1, None, 3)):
+        # (True, 2, 3) equals the valid (1, 2, 3) cast before it, hash included
+        bad_ballots = ((1, 2, 2), (1, 2), (1, 2, 3, 4), (0, 1, 2), ([1], [2], [3]), (1, None, 3))
+        for bad in bad_ballots + ((True, 2, 3),):
             with pytest.raises(NonPermutationOrder, match=r"t\[2\]"):
                 inst.profile([(1, 2, 3), bad])
         # several bad ballots: the first voter casting one is named
@@ -330,6 +332,20 @@ class TestValidation:
             ("NonPermutationOrder", "s[4]", message),
         ]
 
+    def test_bool_ballot_beside_its_int_twin(self):
+        # (True, 2, 3) == (1, 2, 3) with equal hashes: each ballot is judged
+        # on its own, whichever of the two comes first
+        alpha, twin, good = ScoringVector((2, 1, 0)), (True, 2, 3), (1, 2, 3)
+        message = "ballot (True, 2, 3) is not a permutation of 1..3"
+        issues = self.issues(alpha, (V(1, good), V(2, twin)), (1,), 1)
+        assert [(i.code, i.where, i.message) for i in issues] == [
+            ("NonPermutationOrder", "s[2]", message),
+        ]
+        issues = self.issues(alpha, (V(2, twin), V(1, good)), (1,), 1)
+        assert [(i.code, i.where, i.message) for i in issues] == [
+            ("NonPermutationOrder", "s[1]", message),
+        ]
+
     def test_bools_in_every_place_rejected(self):
         # each bool is an issue of its own, and a vector of bools is never built
         voters = (V(True, (1, 2, 3)), V(2, (2, 1, 3)), V(1, (3, True, 2)))
@@ -416,7 +432,7 @@ class TestValidation:
             V(rng.choice(weights[rng.randrange(2)]), rng.choice(orders[rng.randrange(2)]))
             for _ in range(400)
         ]
-        if unhashable:  # the permutation check then takes each ballot in turn
+        if unhashable:  # a ballot is checked whether or not it hashes
             voters[rng.randrange(400)] = V(1, ([1], [2], [3]))
         want = [("CandidateOutOfRange", "p", "preferred candidate 4 outside 1..3")]
         for i, vote in enumerate(voters, start=1):

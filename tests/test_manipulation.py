@@ -34,6 +34,7 @@ from votemanip.reduction import (
     solve_partition,
 )
 from helpers import (
+    count_row_builds,
     count_tallied_ballots,
     count_vector_builds,
     product_oracle,
@@ -486,11 +487,12 @@ class TestRootCut:
         for _ in range(150):
             m = rng.randint(1, 7)
             entries = random_nonincreasing(rng, m, lo=0, hi=3).entries
-            built = len(list(_row_ballots(entries, m, None)))
-            assert manipulation._row_count(entries, False) == built
-            for p in range(1, m + 1):
-                built = len(list(_row_ballots(entries, m, p)))
-                assert manipulation._row_count(entries, True) == built
+            for p in (None, *range(1, m + 1)):
+                built = list(_row_ballots(entries, m, p))
+                assert manipulation._row_count(entries, p is not None) == len(built)
+                # each ballot comes with its score row, candidate c's entry at c - 1
+                for ballot, row in built:
+                    assert row == tuple(entries[ballot.index(c)] for c in range(1, m + 1))
 
 
 def multinomial(entries, pinned):
@@ -526,98 +528,27 @@ class TestRowCount:
 class TestRowBudget:
     """The budget bounds the rows built as well as the terminals spent."""
 
-    def test_no_budget_builds_one_row(self):
+    def test_no_budget_builds_one_row(self, monkeypatch):
         # Borda m=10 and two unit coalition voters with p first win at the
         # first leaf; a budget of 0 stops there, having picked only row 0
         m = 10
         i = inst(tuple(range(m, 0, -1)), [], (1, 1))
-        search = manipulation._PreparedSearch(i, True)
+        drawn = count_row_builds(monkeypatch)
         with pytest.raises(CapExhausted) as err:
-            search.answer(False, 0)
+            brute_force(i, False, 0)
         assert err.value.stats == SearchStats(math.factorial(m - 1), 0, 0, 0, 0, 0, 2)
-        assert len(search.ballots) == 1
+        assert [len(ballots) for ballots in drawn] == [1]
 
     @pytest.mark.parametrize("m", [9, 12])
-    def test_first_leaf_builds_one_row(self, m):
+    def test_first_leaf_builds_one_row(self, monkeypatch, m):
         # the same election under the default budget wins at its first leaf,
         # so the walk builds the one row it picked, not the 8! or 11! rows
         i = inst(tuple(range(m, 0, -1)), [], (1, 1))
-        search = manipulation._PreparedSearch(i, True)
-        got = search.answer(False, manipulation.DEFAULT_NODE_CAP)
+        drawn = count_row_builds(monkeypatch)
+        got = brute_force(i, False, manipulation.DEFAULT_NODE_CAP)
         assert got.decision and got.stats.terminals == 1
         assert got.witness == (tuple(range(1, m + 1)),) * 2
-        assert len(search.ballots) == 1
-
-
-class TestPreparedSearch:
-    """One prepared search answers a run of walks exactly as lone calls do."""
-
-    def test_walks_match_lone_calls(self):
-        rng = random.Random(12)
-        second_only = 0
-        for trial in range(600):
-            restrict = trial % 3 != 0
-            # small entries and weights tie often, so the two winner modes
-            # often need different numbers of terminals
-            alpha = random_nonincreasing(rng, rng.randint(1, 4), lo=-2, hi=2)
-            i = random_instance(rng, alpha, max_coalition=5, max_weight=2)
-            order = (False, True) if trial % 4 < 2 else (True, False)
-            lone = [brute_force(i, unique, restrict_p_first=restrict) for unique in order]
-            search = manipulation._PreparedSearch(i, restrict)
-            for unique, want in zip(order, lone):
-                got = search.answer(unique, manipulation.DEFAULT_NODE_CAP)
-                assert got == want and got.stats == want.stats, (i, unique, restrict)
-            first, second = (answer.stats.terminals for answer in lone)
-            # a budget the first walk exceeds, and one only the second does
-            caps = [(first - 1, 0)] + ([(second - 1, 1)] if second > first else [])
-            for cap, stops in caps:
-                search = manipulation._PreparedSearch(i, restrict)
-                if stops:
-                    second_only += 1
-                    assert search.answer(order[0], cap) == lone[0]
-                with pytest.raises(CapExhausted) as shared:
-                    search.answer(order[stops], cap)
-                with pytest.raises(CapExhausted) as alone:
-                    brute_force(i, order[stops], cap, restrict_p_first=restrict)
-                assert str(shared.value) == str(alone.value)
-                assert shared.value.stats == alone.value.stats
-        assert second_only >= 30
-
-    def test_small_budget_then_full(self):
-        # the first walk builds only the rows it picks and runs out; the
-        # second needs more rows and extends the kept ones
-        rng = random.Random(13)
-        extended = 0
-        for trial in range(300):
-            restrict = trial % 2 == 0
-            alpha = random_nonincreasing(rng, rng.randint(3, 5), lo=-2, hi=3)
-            i = random_instance(rng, alpha, max_coalition=4, max_weight=3)
-            unique = trial % 3 == 0
-            lone = brute_force(i, unique, restrict_p_first=restrict)
-            if lone.stats.terminals < 2:
-                continue
-            cap = rng.randrange(lone.stats.terminals - 1)
-            search = manipulation._PreparedSearch(i, restrict)
-            with pytest.raises(CapExhausted) as shared:
-                search.answer(unique, cap)
-            with pytest.raises(CapExhausted) as alone:
-                brute_force(i, unique, cap, restrict_p_first=restrict)
-            assert str(shared.value) == str(alone.value)
-            assert shared.value.stats == alone.value.stats
-            built = len(search.ballots)
-            got = search.answer(unique, manipulation.DEFAULT_NODE_CAP)
-            assert got == lone and got.stats == lone.stats, (i, unique, restrict, cap)
-            extended += 0 < built < len(search.ballots)
-        assert extended >= 30
-
-    @pytest.mark.parametrize("restrict", [True, False])
-    def test_vector_ending_in_zero_is_searched_uncopied(self, monkeypatch, restrict):
-        # veto's last entry is already 0, so the search shifts nothing
-        i = inst((1, 1, 1, 0), [(3, (2, 3, 4, 1)), (1, (4, 3, 1, 2))], (2, 1, 1))
-        built = count_vector_builds(monkeypatch)
-        for unique in (False, True):
-            assert brute_force(i, unique, restrict_p_first=restrict).mode == "brute-force"
-        assert built == []
+        assert [len(ballots) for ballots in drawn] == [1]
 
 
 class TestFixedVotersTalliedOnce:
@@ -638,6 +569,15 @@ class TestFixedVotersTalliedOnce:
                 assert not brute_force(no, unique, restrict_p_first=restrict).decision
                 assert counts == [40]
                 counts.clear()
+
+    @pytest.mark.parametrize("restrict", [True, False])
+    def test_vector_ending_in_zero_is_searched_uncopied(self, monkeypatch, restrict):
+        # veto's last entry is already 0, so the search shifts nothing
+        i = inst((1, 1, 1, 0), [(3, (2, 3, 4, 1)), (1, (4, 3, 1, 2))], (2, 1, 1))
+        built = count_vector_builds(monkeypatch)
+        for unique in (False, True):
+            assert brute_force(i, unique, restrict_p_first=restrict).mode == "brute-force"
+        assert built == []
 
     @pytest.mark.parametrize("restrict", [True, False])
     def test_search_decides_as_on_the_shifted_vector(self, restrict):

@@ -39,6 +39,7 @@ from votemanip import (
 )
 from helpers import (
     count_classifications,
+    count_row_builds,
     count_tallied_ballots,
     count_vector_builds,
     count_walks,
@@ -143,17 +144,28 @@ class TestSolvePartition:
 
     def test_agrees_with_exhaustive_search(self):
         rng = random.Random(5)
-        for _ in range(300):
-            ks = tuple(rng.randint(1, 9) for _ in range(rng.randint(1, 7)))
-            got = solve_partition(PI(ks))
-            hits = exhaustive_partition(ks)
-            if not hits:  # None (odd) or empty list (even, unreachable)
-                assert got is None, ks
-            else:
-                assert got is not None, ks
-                assert frozenset(got) in set(hits)
-                # greedy reconstruction picks the earliest feasible indices
-                assert tuple(sorted(got)) == min(tuple(sorted(h)) for h in hits)
+        # large entries make sums far wider than one machine word
+        for size, top, trials in ((7, 9, 300), (12, 500, 60)):
+            for _ in range(trials):
+                ks = tuple(rng.randint(1, top) for _ in range(rng.randint(1, size)))
+                got = solve_partition(PI(ks))
+                hits = exhaustive_partition(ks)
+                if not hits:  # None (odd) or empty list (even, unreachable)
+                    assert got is None, ks
+                else:
+                    assert got is not None, ks
+                    assert frozenset(got) in set(hits)
+                    # greedy reconstruction picks the earliest feasible indices
+                    assert tuple(sorted(got)) == min(tuple(sorted(h)) for h in hits)
+
+    def test_large_partition(self):
+        # 60 integers up to 100,000: a target near 1.5 million, one bit per sum
+        rng = random.Random(8)
+        ks = [rng.randint(1, 100_000) for _ in range(60)]
+        ks[0] += sum(ks) % 2
+        part = PI(tuple(ks))
+        got = solve_partition(part)
+        assert got is not None and sum(ks[i - 1] for i in got) == part.target
 
 
 class TestCoreVoters:
@@ -541,7 +553,7 @@ def same_cap(shared, lone):
 
 
 class TestVerifySharesOneSearch:
-    """verify_reduction answers both questions from one prepared search."""
+    """verify_reduction answers both questions from one search."""
 
     def test_matches_lone_searches(self):
         # ump is the co-winner walk's answer, stats included, and what a
@@ -563,27 +575,12 @@ class TestVerifySharesOneSearch:
                 brute_force(inst, False, node_cap=first - 1)
             assert same_cap(shared.value, lone.value), (alpha, part)
 
-    def count_row_builds(self, monkeypatch):
-        # one list per row generator made, holding the rows drawn from it
-        drawn = []
-        build = manipulation._row_ballots
-
-        def counted(*args):
-            rows = []
-            drawn.append(rows)
-            for ballot in build(*args):
-                rows.append(ballot)
-                yield ballot
-
-        monkeypatch.setattr(manipulation, "_row_ballots", counted)
-        return drawn
-
     @pytest.mark.parametrize(
         "entries,ks",
         [((5, 4, 3, 2, 1), (3, 5, 2, 4)), ((5, 4, 3, 2, 1), (1, 1, 4)), ((1, 1, 0, 0), (2, 2))],
     )
     def test_rows_built_once_when_a_root_survives(self, monkeypatch, entries, ks):
-        drawn = self.count_row_builds(monkeypatch)
+        drawn = count_row_builds(monkeypatch)
         report = verify_reduction(SV(entries), PI(ks))
         assert report.passed and report.mp.stats.deepest > 0
         assert sum(map(bool, drawn)) == 1
@@ -592,7 +589,7 @@ class TestVerifySharesOneSearch:
     def test_no_rows_when_both_roots_are_cut(self, monkeypatch, entries, ks):
         # one coalition voter that cannot split a single integer: the
         # last-voter test cuts the root in both winner modes
-        drawn = self.count_row_builds(monkeypatch)
+        drawn = count_row_builds(monkeypatch)
         report = verify_reduction(SV(entries), PI(ks))
         assert report.passed and not report.mp.decision
         for answer in (report.mp, report.ump):
@@ -706,14 +703,14 @@ class TestNoGadgetTiesP:
     def test_a_tied_yes_raises(self, monkeypatch):
         # a witness check that finds a rival level with p disproves the
         # margins, so the report is not built
-        table = manipulation._PreparedSearch.table
+        table = manipulation._with_coalition
 
-        def tied(search, ballots):
-            scores = table(search, ballots)
-            scores[RoleMap.a] = scores[search.inst.p]
+        def tied(inst, fixed, ballots):
+            scores = table(inst, fixed, ballots)
+            scores[RoleMap.a] = scores[inst.p]
             return scores
 
-        monkeypatch.setattr(manipulation._PreparedSearch, "table", tied)
+        monkeypatch.setattr(manipulation, "_with_coalition", tied)
         with pytest.raises(ElectionError, match="internal error: .* only tie p"):
             verify_reduction(VETO3, PI((1, 1)))
 
