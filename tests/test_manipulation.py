@@ -551,6 +551,20 @@ class TestRowBudget:
         assert [len(ballots) for ballots in drawn] == [1]
 
 
+class TestPreparedSearch:
+    """Each search prepares the vector it walks once, before its walk; a
+    vector whose last entry is already 0 is walked as it is."""
+
+    @pytest.mark.parametrize("restrict", [True, False])
+    def test_vector_ending_in_zero_is_searched_uncopied(self, monkeypatch, restrict):
+        # veto's last entry is already 0, so the search shifts nothing
+        i = inst((1, 1, 1, 0), [(3, (2, 3, 4, 1)), (1, (4, 3, 1, 2))], (2, 1, 1))
+        built = count_vector_builds(monkeypatch)
+        for unique in (False, True):
+            assert brute_force(i, unique, restrict_p_first=restrict).mode == "brute-force"
+        assert built == []
+
+
 class TestFixedVotersTalliedOnce:
     """The fixed voters are tallied once per search, under the instance's
     own vector; a yes adds a tally of only the coalition's ballots."""
@@ -569,15 +583,6 @@ class TestFixedVotersTalliedOnce:
                 assert not brute_force(no, unique, restrict_p_first=restrict).decision
                 assert counts == [40]
                 counts.clear()
-
-    @pytest.mark.parametrize("restrict", [True, False])
-    def test_vector_ending_in_zero_is_searched_uncopied(self, monkeypatch, restrict):
-        # veto's last entry is already 0, so the search shifts nothing
-        i = inst((1, 1, 1, 0), [(3, (2, 3, 4, 1)), (1, (4, 3, 1, 2))], (2, 1, 1))
-        built = count_vector_builds(monkeypatch)
-        for unique in (False, True):
-            assert brute_force(i, unique, restrict_p_first=restrict).mode == "brute-force"
-        assert built == []
 
     @pytest.mark.parametrize("restrict", [True, False])
     def test_search_decides_as_on_the_shifted_vector(self, restrict):
