@@ -95,6 +95,10 @@ from .dichotomy import hardness_params
 from .manipulation import DEFAULT_NODE_CAP, ManipulationAnswer, _search, _with_coalition
 
 
+# Most bits solve_partition's bitsets may hold together (32 MiB).
+_BITSET_BUDGET = 1 << 28
+
+
 class OddSum(ElectionError):
     """Partition totals must be even for a half-sum target to exist."""
 
@@ -392,27 +396,52 @@ def _a_above_b(art: ReductionArtifact, t_votes: tuple[Order, ...]) -> set[int]:
 def solve_partition(part: PartitionInstance) -> set[int] | None:
     """Subset of 1-based indices summing to half the total, or None.
 
-    Suffix-reachability dynamic program over sums up to the target, one
-    integer bitset per suffix (bit v of ``reach[i]`` is set when some
-    subset of ``ks[i:]`` sums to v), then a left-to-right reconstruction
-    that takes an index whenever the rest can still finish, which yields
-    the lexicographically smallest witness.  Odd totals have no witness.
+    Suffix-reachability dynamic program over sums up to the target, then
+    a left-to-right reconstruction that takes an index whenever the rest
+    can still finish, which yields the lexicographically smallest witness.
+    Odd totals have no witness.
+
+    Each suffix's reachable sums are kept in one of two forms, chosen from
+    the input.  With many mid-sized integers (the target below 2**n, and
+    n bitsets of target + 1 bits within ``_BITSET_BUDGET``) they are one
+    integer bitset per suffix, bit v set when some subset sums to v: a
+    shift and an or per integer, where a set could hold up to target sums.
+    Otherwise, as with few large integers, they are a set per suffix,
+    which never holds more than 2**n sums, where a bitset would need
+    target + 1 bits.
     """
     if part.total % 2:
         return None
     target = part.total // 2
     ks = part.ks
     n = len(ks)
-    mask = (1 << target + 1) - 1
-    reach = [1] * (n + 1)
-    for i in range(n - 1, -1, -1):
-        reach[i] = (reach[i + 1] | (reach[i + 1] << ks[i])) & mask
-    if not (reach[0] >> target) & 1:
+    if target >> n or n * (target + 1) > _BITSET_BUDGET:
+        sums: list[set[int]] = [set() for _ in range(n + 1)]
+        sums[n] = {0}
+        for i in range(n - 1, -1, -1):
+            sums[i] = set(sums[i + 1])
+            for v in sums[i + 1]:
+                if v + ks[i] <= target:
+                    sums[i].add(v + ks[i])
+
+        def reaches(i: int, v: int) -> bool:
+            return v in sums[i]
+
+    else:
+        mask = (1 << target + 1) - 1
+        bits = [1] * (n + 1)
+        for i in range(n - 1, -1, -1):
+            bits[i] = (bits[i + 1] | (bits[i + 1] << ks[i])) & mask
+
+        def reaches(i: int, v: int) -> bool:
+            return bool(bits[i] >> v & 1)
+
+    if not reaches(0, target):
         return None
     picked: set[int] = set()
     remaining = target
     for i in range(n):
-        if ks[i] <= remaining and (reach[i + 1] >> (remaining - ks[i])) & 1:
+        if ks[i] <= remaining and reaches(i + 1, remaining - ks[i]):
             picked.add(i + 1)
             remaining -= ks[i]
     if remaining:

@@ -660,6 +660,15 @@ class TestVerifyCommand:
         assert out.startswith("case single-c ell=1 r=0 target=2\n")
         assert out.endswith("verdict pass\n")
 
+    def test_few_huge_integers(self, capsys):
+        # a target of 10**12 with two integers: the oracle keeps at most four
+        # sums, never a bitset of 10**12 bits
+        big = "1000000000000"
+        assert run_command(["verify", "--alpha", "1 1 0", "--partition", f"{big} {big}"]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith(f"case general ell=0 r=0 target={big}\npartition yes\n")
+        assert out.endswith("extracted-sum 1000000000000\nverdict pass\n")
+
     def test_odd_total(self, capsys):
         assert run_command(["verify", "--alpha", "1 1 0", "--partition", "3"]) == 2
 

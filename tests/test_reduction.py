@@ -4,6 +4,7 @@ import random
 import pytest
 
 import votemanip.manipulation as manipulation
+import votemanip.reduction as reduction
 from votemanip import (
     CapExhausted,
     ElectionError,
@@ -142,21 +143,37 @@ class TestSolvePartition:
     def test_frozen_cases(self, ks, expected):
         assert solve_partition(PI(ks)) == expected
 
-    def test_agrees_with_exhaustive_search(self):
+    def test_agrees_with_exhaustive_search(self, monkeypatch):
         rng = random.Random(5)
-        # large entries make sums far wider than one machine word
-        for size, top, trials in ((7, 9, 300), (12, 500, 60)):
+        budget = reduction._BITSET_BUDGET
+        # large entries make sums far wider than one machine word; a target
+        # below 2**n takes the bitsets, above it the sets, and a zero budget
+        # leaves the sets to answer every partition
+        cases = ((7, 9, 300), (12, 500, 60), (10, 40, 60), (12, 20, 60), (6, 10**9, 60))
+        for size, top, trials in cases:
             for _ in range(trials):
                 ks = tuple(rng.randint(1, top) for _ in range(rng.randint(1, size)))
-                got = solve_partition(PI(ks))
                 hits = exhaustive_partition(ks)
-                if not hits:  # None (odd) or empty list (even, unreachable)
-                    assert got is None, ks
-                else:
-                    assert got is not None, ks
-                    assert frozenset(got) in set(hits)
-                    # greedy reconstruction picks the earliest feasible indices
-                    assert tuple(sorted(got)) == min(tuple(sorted(h)) for h in hits)
+                for each_budget in (budget, 0):
+                    monkeypatch.setattr(reduction, "_BITSET_BUDGET", each_budget)
+                    got = solve_partition(PI(ks))
+                    if not hits:  # None (odd) or empty list (even, unreachable)
+                        assert got is None, ks
+                    else:
+                        assert got is not None, ks
+                        assert frozenset(got) in set(hits)
+                        # greedy reconstruction picks the earliest feasible indices
+                        assert tuple(sorted(got)) == min(tuple(sorted(h)) for h in hits)
+
+    def test_few_huge_integers(self):
+        # a bitset would need 10**30 bits; the sets hold at most four sums
+        assert solve_partition(PI((10**30, 10**30))) == {1}
+        assert solve_partition(PI((10**30, 10**30, 2, 4))) is None  # even, unreachable
+        # many equal large integers: the target is below 2**n but its bitsets
+        # would overrun the budget, and only 51 distinct sums exist
+        ks = (2**60,) * 100
+        got = solve_partition(PI(ks))
+        assert got == set(range(1, 51))
 
     def test_large_partition(self):
         # 60 integers up to 100,000: a target near 1.5 million, one bit per sum
