@@ -17,7 +17,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from operator import add
+from operator import sub
 from typing import Iterator
 
 from .core import ElectionError, ManipulationInstance, Order, ScoreTable, tally, unique_winner
@@ -27,8 +27,8 @@ from .dichotomy import RuleClass, classify, normalize_last_zero
 DEFAULT_NODE_CAP = 10**7
 
 # Entry cap of the search's failed-state table, which is emptied when full.
-# A Borda m=5 state (level, p's score, four rival scores) takes about 270
-# bytes with its set slot, so a full table holds about 9 MB.
+# A Borda m=5 state (level and four rooms) takes about 270 bytes with its
+# set slot, so a full table holds about 8.5 MB.
 FAILED_STATE_CAP = 1 << 15
 
 # An answer's mode names its vector's class; hard vectors are "brute-force".
@@ -185,55 +185,55 @@ def _search(
 ) -> tuple[ManipulationAnswer, ScoreTable, ScoreTable | None]:
     """One search's answer, the fixed voters' table and, on a yes, the final table.
 
-    The fixed voters are tallied once, under the instance's own vector.
-    Only the rows' gains use the vector shifted so its last entry is 0
-    (the vector itself when it ends in 0, as veto, k-approval and every
-    gadget do).  Against the shifted vector's tally, every candidate's
-    fixed score carries the same offset, the last entry times the fixed
-    voters' total weight.  The monotone, capacity and pairing tests
-    compare sums with as many offsets on each side, and every
-    failed-state key moves by that one offset, so the walk starting from
-    the unshifted table makes exactly the decisions it would make from
-    the shifted one.  A "yes" is checked before it is returned: p must
-    win on the :func:`_with_coalition` table of its witness ballots, and
-    that table is returned with the answer.
+    The fixed voters are tallied once, under the instance's own vector,
+    and the rows use the vector shifted so its last entry is 0 (the
+    vector itself when it ends in 0, as veto, k-approval and every gadget
+    do); the walk tracks only differences between p's score and a
+    rival's, to which the shift adds the same offset, so it makes the
+    same decisions either way.  A "yes" is checked before it is returned:
+    p must win on the :func:`_with_coalition` table of its witness
+    ballots, and that table is returned with the answer.
 
     Each coalition voter picks one distinct score row, cast by its
     lexicographically first ballot (see :func:`_row_ballots`; p is
     pinned first under ``restrict_p_first``).  Voters are assigned left
     to right and each tries rows in order, so the first winning
-    assignment reached is the lexicographically first one.  Row k and its
-    weighted gains are built the first time a voter picks it, and no
-    voter picks it before one has picked row k-1, so the walk builds only
-    the rows it reaches.  Every row is a permutation of ``entries``, so
-    the bounds need only their sorted values and the row count, and a
-    root cut builds no row.  Six cuts keep the witness:
+    assignment reached is the lexicographically first one.  Row k and what
+    it takes from the rooms are built the first time a voter picks it,
+    and no voter picks it before one has picked row k-1, so the walk
+    builds only the rows it reaches.  Every row is a permutation of
+    ``entries``, so the bounds need only their sorted values and the row
+    count, and a root cut builds no row.
 
-    * monotone bound: shifted entries are >= 0, so rivals never lose
-      points and p gains at most ``top`` times the weight R still to
-      vote, reaching at most P (less 1 when ``unique``); a branch dies
-      once a rival beats P, and a leaf is a win exactly when it is not
-      cut;
+    Rival c's room is P minus c's score, where P, p's best reachable
+    score, is p's score plus ``top`` times the weight R still to vote
+    (less 1 when ``unique``).  A voter of weight w casting a row takes
+    w * (top - row[p] + row[c]) from c's room, w * row[c] with p pinned
+    first; shifted entries are >= 0 and at most ``top``, so no room ever
+    grows.  Six cuts keep the witness:
+
+    * monotone bound: a branch dies once some room is below 0, and a
+      leaf (R = 0) is a win exactly when it is not cut;
     * capacity bound: each voter still to vote gives any k rivals k
-      distinct positions, so they gain at least R times L_k, the sum of
-      the k smallest shifted entries; a branch dies once, for some k in
-      1..m-1, the k highest-scoring rivals have less room than that
-      below P (k = 1 is the monotone bound, since L_1 = 0).  Every row
-      is a permutation of the shifted vector and k < m, so the k
-      smallest entries are the same with p pinned first or not;
+      distinct positions, so it takes at least R times L_k, the sum of
+      the k smallest shifted entries, from their rooms; a branch dies
+      once, for some k in 1..m-1, the k smallest rooms sum to less than
+      that (k = 1 is the monotone bound, since L_1 = 0).  Every row is a
+      permutation of the shifted vector and k < m, so the k smallest
+      entries are the same with p pinned first or not;
     * last-voter pairing: with one voter of weight w left, moving p to
       the top of a winning ballot keeps it winning, and among p-first
-      ballots, giving the rivals, highest score first, the m-1 smallest
-      entries in ascending order leaves the highest final rival score as
-      low as it can be (swapping two rivals' entries never lowers it);
-      the branch dies when even that leaves a rival above P, so no row
+      ballots, giving the rivals, smallest room first, the m-1 smallest
+      entries in ascending order leaves the smallest final room as large
+      as it can be (swapping two rivals' entries never raises it); the
+      branch dies when even that takes some room below 0, so no row
       wins;
     * failed-state table: with voter i free to pick any row (i = 0 or
       its weight differs from voter i-1's), whether voters i..n-1 can
-      still make p win depends only on i, p's score and the sorted rival
-      scores, because the rows are closed under permuting the rivals.
-      Each such node is recorded once every row under it has failed, and
-      a later node with the same state is cut.  The table holds at most
+      still make p win depends only on i and the sorted rooms, because
+      the rows are closed under permuting the rivals.  Each such node is
+      recorded once every row under it has failed, and a later node with
+      the same state is cut.  The table holds at most
       ``FAILED_STATE_CAP`` states and is emptied when full;
     * row dedup: each distinct score row is tried once;
     * equal-weight symmetry: voter i picks no earlier row than voter i-1
@@ -260,7 +260,6 @@ def _search(
     mode = MODES[dc.tag]
     entries = normalize_last_zero(vec).entries
     fixed = tally(inst.s_voters, vec)
-    base = [fixed[c] for c in range(1, vec.m + 1)]
     p = inst.p - 1
     nrows = _row_count(entries, restrict_p_first)
     weights = inst.t_weights
@@ -273,52 +272,46 @@ def _search(
     # L_k is 0 and the monotone bound implies both tests
     lows = list(itertools.accumulate(lower))
     capacity_on = dc.tag is RuleClass.HARD
-    slack = [0] * (n + 1)  # the most p can still gain from voters i..n-1: top * R
-    for i in range(n - 1, -1, -1):
-        slack[i] = slack[i + 1] + weights[i] * top
+    rest = [*itertools.accumulate(reversed(weights), initial=0)][::-1]  # R at each level
     tabled = [
         nrows > 1 and i < n - 1 and (i == 0 or weights[i] != weights[i - 1]) for i in range(n)
     ]
-    # the rows built so far and, per voter, what each gives p and the
-    # rivals at that voter's weight; voters of equal weight share a pair
+    # the rows built so far and, per voter, what each takes from the rooms
+    # at that voter's weight; voters of equal weight share a list
     next_row = _row_ballots(entries, vec.m, inst.p if restrict_p_first else None)
     ballots: list[Order] = []
-    by_weight = {w: ([], []) for w in weights}
-    gains = [by_weight[w] for w in weights]
-    strict = 1 if unique else 0
+    by_weight = {w: [] for w in weights}
+    takes = [by_weight[w] for w in weights]
     failed: set[tuple[int, ...]] = set()
     keys: list[tuple[int, ...] | None] = [None] * n  # the state of each tabled node on the path
     picks = [0] * n
-    score_p = [base[p]] + [0] * n
-    score_rivals = [base[:p] + base[p + 1:]] + [None] * n
+    best = fixed[inst.p] + top * rest[0] - (1 if unique else 0)
+    rooms = [[best - score for c, score in fixed.items() if c != inst.p]] + [None] * n
     # cut terminals by cause: monotone, capacity, pairing, repeats
     cuts = [0, 0, 0, 0]
     terminals = deepest = 0
     level = 0
     while True:
-        rivals = score_rivals[level]
-        best = score_p[level] + slack[level] - strict
+        room = rooms[level]
         cause = -1
-        if rivals and max(rivals) > best:
+        if room and min(room) < 0:
             cause = 0
         elif level < n and (capacity_on or tabled[level]):
-            ranked = sorted(rivals, reverse=True)
+            ranked = sorted(room)
             if capacity_on:
-                # k * P - S_k >= R * L_k, with S_k the sum of the k highest
-                # scores, both sides times top so that top * R is the slack
-                room = slack[level]
-                for k, (taken, low) in enumerate(zip(itertools.accumulate(ranked), lows), 1):
-                    if top * (k * best - taken) < room * low:
+                need = rest[level]
+                for left, low in zip(itertools.accumulate(ranked), lows):
+                    if left < need * low:
                         cause = 1
                         break
                 if cause < 0 and level == n - 1:
                     w = weights[level]
-                    for score, entry in zip(ranked, lower):
-                        if score + w * entry > best:
+                    for left, entry in zip(ranked, lower):
+                        if w * entry > left:
                             cause = 2
                             break
             if cause < 0 and tabled[level]:
-                key = (level, score_p[level], *ranked)
+                key = (level, *ranked)
                 if key in failed:
                     cause = 3
                 else:
@@ -350,14 +343,12 @@ def _search(
         if pick == len(ballots):
             ballot, row = next(next_row)
             ballots.append(ballot)
-            row_rivals = row[:p] + row[p + 1:]
-            for w, (gain_p, gain_rivals) in by_weight.items():
-                gain_p.append(w * row[p])
-                gain_rivals.append([w * x for x in row_rivals])
+            lost = top - row[p]  # 0 with p pinned first
+            rivals = row[:p] + row[p + 1:]
+            for w, took in by_weight.items():
+                took.append([w * (lost + x) for x in rivals])
         picks[level] = pick
-        gain_p, gain_rivals = gains[level]
-        score_p[level + 1] = score_p[level] + gain_p[pick]
-        score_rivals[level + 1] = list(map(add, score_rivals[level], gain_rivals[pick]))
+        rooms[level + 1] = list(map(sub, rooms[level], takes[level][pick]))
         level += 1
     stats = _stats(nrows, terminals, cuts, deepest)
     if picks is None:

@@ -146,7 +146,9 @@ class RoleMap:
     p=1 (preferred), a=2 and b=3 (the pair whose coalition split encodes
     the subset), then ``ell`` cycle candidates c1.. and ``r`` padding
     candidates d1.., so m = ell + r + 3.  Raises ValueError unless ``ell``
-    and ``r`` are both an ``int`` >= 0 (a ``bool`` is not one).
+    and ``r`` are both an ``int`` >= 0 (a ``bool`` is not one).  ``c``,
+    ``d`` and ``role_name`` raise IndexError for an index that is not an
+    ``int`` in range.
     """
 
     ell: int
@@ -165,13 +167,13 @@ class RoleMap:
         return self.ell + self.r + 3
 
     def c(self, i: int) -> int:
-        if not 1 <= i <= self.ell:
-            raise IndexError(f"cycle candidate index {i} outside 1..{self.ell}")
+        if not (_is_int(i) and 1 <= i <= self.ell):
+            raise IndexError(f"cycle candidate index {i!r} outside 1..{self.ell}")
         return 3 + i
 
     def d(self, j: int) -> int:
-        if not 1 <= j <= self.r:
-            raise IndexError(f"padding candidate index {j} outside 1..{self.r}")
+        if not (_is_int(j) and 1 <= j <= self.r):
+            raise IndexError(f"padding candidate index {j!r} outside 1..{self.r}")
         return 3 + self.ell + j
 
     @property
@@ -183,8 +185,8 @@ class RoleMap:
         return tuple(range(4 + self.ell, 4 + self.ell + self.r))
 
     def role_name(self, candidate: int) -> str:
-        if not 1 <= candidate <= self.m:
-            raise IndexError(f"candidate {candidate} outside 1..{self.m}")
+        if not (_is_int(candidate) and 1 <= candidate <= self.m):
+            raise IndexError(f"candidate {candidate!r} outside 1..{self.m}")
         i = candidate - 3  # the cycle and padding candidates' offset
         if i < 1:
             return ("p", "a", "b")[candidate - 1]
@@ -358,13 +360,17 @@ def forward_witness(art: ReductionArtifact, subset: Iterable[int]) -> tuple[Orde
     """Coalition ballots realizing an index subset.
 
     Voters in the subset cast p > d1..dr > a > b > c1..; the rest swap a
-    and b.  Indices are 1-based positions into the partition integers.
+    and b.  Indices are 1-based positions into the partition integers;
+    IndexError names the first that is not an ``int`` in 1..n (a
+    ``bool`` is not one).
     """
     rm = art.role_map
     n = len(art.source.ks)
-    chosen = set(subset)
-    if not chosen <= set(range(1, n + 1)):
-        raise IndexError(f"subset {sorted(chosen)} has indices outside 1..{n}")
+    indices = tuple(subset)
+    for i in indices:
+        if not (_is_int(i) and 1 <= i <= n):
+            raise IndexError(f"subset index {i!r} outside 1..{n}")
+    chosen = set(indices)
     ballot_in = (rm.p, *rm.ds, rm.a, rm.b, *rm.cs)
     ballot_out = (rm.p, *rm.ds, rm.b, rm.a, *rm.cs)
     return tuple(ballot_in if i in chosen else ballot_out for i in range(1, n + 1))

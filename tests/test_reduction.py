@@ -20,6 +20,7 @@ from votemanip import (
     ScoringFamily,
     ScoringVector,
     RuleClass,
+    SearchStats,
     UnsupportedM,
     WeightedVote,
     brute_force,
@@ -119,6 +120,16 @@ class TestRoleMap:
                 for outside in (0, -1, rm.m + 1):
                     with pytest.raises(IndexError, match=f"candidate {outside} outside 1..{rm.m}"):
                         rm.role_name(outside)
+
+    @pytest.mark.parametrize("index", [True, False, 1.0, 2.0, "1", None])
+    def test_indices_must_be_integers(self, index):
+        # True == 1 and 2.0 == 2 to Python, but no index is a bool or a float
+        rm = RoleMap(ell=2, r=2)
+        for method, name in ((rm.c, "cycle candidate index"), (rm.d, "padding candidate index")):
+            with pytest.raises(IndexError, match=f"{name} {index!r} outside 1..2"):
+                method(index)
+        with pytest.raises(IndexError, match=f"candidate {index!r} outside 1..7"):
+            rm.role_name(index)
 
     @pytest.mark.parametrize("ell,r", [(-1, 0), (0, -2), (1.5, 0), (0, "1")])
     def test_sizes_must_be_nonnegative_integers(self, ell, r):
@@ -450,6 +461,15 @@ class TestWitnessTranslation:
             with pytest.raises(IndexError):
                 forward_witness(art, subset)
 
+    @pytest.mark.parametrize(
+        "subset,bad", [({True}, "True"), ({1.0}, "1.0"), ([1, False], "False"), ({1, "a"}, "'a'")]
+    )
+    def test_forward_rejects_non_integer_indices(self, subset, bad):
+        # {True} and {1.0} equal {1} to Python; the message names the item
+        # without sorting the subset, which {1, "a"} could not be
+        with pytest.raises(IndexError, match=f"subset index {bad} outside 1..2"):
+            forward_witness(self.art(), subset)
+
     def test_extract_round_trip(self):
         art = self.art()
         for subset in ({1}, {2}):
@@ -523,6 +543,15 @@ class TestVerifyReduction:
     )
     def test_battery(self, entries, ks):
         assert verify_reduction(SV(entries), PI(ks)).passed
+
+    def test_deep_search_stats(self):
+        # a Borda m=5 "no" gadget of 10 voters: every cut fires and the walk
+        # reaches the ninth voter; the counts pin the whole walk
+        report = verify_reduction(
+            SV((5, 4, 3, 2, 1)), PI((117, 144, 200, 120, 116, 131, 151, 49, 48, 132))
+        )
+        assert report.passed and not report.mp.decision
+        assert report.mp.stats == SearchStats(24, 0, 234680, 48116, 21200, 4826, 9)
 
 
 # veto and Borda at m=3..5, 2-approval at m=4 and (2, 2, 1, 0, 0), the
