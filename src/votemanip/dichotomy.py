@@ -118,8 +118,10 @@ class ScoringFamily:
 
     Raises ValueError for an unknown kind, a k-approval ``k`` that is not
     an ``int`` >= 1, a constant ``value`` that is not an ``int``, and an
-    explicit family without vectors, with a size that is not the ``int``
-    length of its ``ScoringVector``, or with a size given twice; a
+    explicit family without vectors, with a table that is not an iterable
+    of (size, vector) pairs (a mapping included: only :meth:`explicit`
+    takes one), with a size that is not the ``int`` length of its
+    ``ScoringVector``, or with a size given twice; a
     ``bool`` is not an ``int`` in any of these.  Each
     parameter belongs to one kind (``k`` to k-approval, ``value`` to
     constant, ``table`` to explicit), and setting it on another kind is a
@@ -145,13 +147,16 @@ class ScoringFamily:
         if self.kind == "explicit":
             if not self.table:
                 raise ValueError("explicit families need at least one vector")
-            for size, vec in self.table:
+            shape = "explicit families map each candidate count to a scoring vector of that size"
+            try:
+                pairs = [(size, vec) for size, vec in self.table]
+            except (TypeError, ValueError):
+                # not an iterable of pairs, such as a mapping
+                raise ValueError(f"{shape}, got {self.table!r}") from None
+            for size, vec in pairs:
                 if not (_is_int(size) and isinstance(vec, ScoringVector) and vec.m == size):
-                    raise ValueError(
-                        "explicit families map each candidate count to a scoring vector "
-                        f"of that size, got {size!r} -> {vec!r}"
-                    )
-            table = tuple(sorted(self.table, key=lambda item: item[0]))
+                    raise ValueError(f"{shape}, got {size!r} -> {vec!r}")
+            table = tuple(sorted(pairs, key=lambda item: item[0]))
             for (size, _), (next_size, _) in zip(table, table[1:]):
                 if size == next_size:
                     raise ValueError(f"explicit family defines m={size} twice")

@@ -49,13 +49,15 @@ class SearchStats:
 
     A terminal is a node the walk does not descend from.  ``leaves``
     counts evaluated leaves, where every coalition voter has a ballot
-    (the winning leaf included).  ``monotone`` counts branches cut by the
-    monotone bound: one rival already beats p's best reachable score.
-    ``capacity`` counts branches cut by the capacity bound: the k
-    highest-scoring rivals cannot absorb the points the voters still to
-    vote must give them.  ``pairing`` counts last-voter branches cut
-    because no ballot of that voter makes p win, and ``repeats`` branches
-    cut because the failed-state table already holds their state.
+    (the winning leaf included).  A rival's room is how far its score can
+    still rise before it passes p's best reachable score (see
+    :func:`_search`).  ``monotone`` counts branches cut by the monotone
+    bound: some room is below 0.  ``capacity`` counts branches cut by the
+    capacity bound: the k smallest rooms cannot absorb what the voters
+    still to vote must take from them.  ``pairing`` counts last-voter
+    branches cut because no ballot of that voter makes p win, and
+    ``repeats`` branches cut because the failed-state table already holds
+    their state.
     ``terminals`` is their sum, the number ``node_cap`` budgets.
     ``rows`` is the number of distinct score rows each coalition voter
     picks from, and ``deepest`` the most coalition voters that held a
@@ -113,9 +115,7 @@ class ManipulationAnswer:
     stats: SearchStats = field(compare=False)
 
 
-def _row_ballots(
-    entries: tuple[int, ...], m: int, p: int | None
-) -> Iterator[tuple[Order, tuple[int, ...]]]:
+def _row_ballots(entries: tuple[int, ...], m: int, p: int | None) -> Iterator[Order]:
     """The lexicographically first ballot of each distinct score row, in order.
 
     Ballots that differ only inside a run of equal vector entries give
@@ -123,29 +123,21 @@ def _row_ballots(
     candidates in increasing order.  With ``p`` set, p is pinned to the
     top and the runs start below it.  Choosing each run's candidates as
     a combination of the unused ones, runs left to right, yields exactly
-    those ballots in lexicographic order, one at a time.  Each comes with
-    its score row, candidate c's entry at index c - 1, filled in run by
-    run as the ballot is built.
+    those ballots in lexicographic order, one at a time.
     """
     head: Order = (p,) if p is not None else ()
-    runs = [(value, len(tuple(run))) for value, run in itertools.groupby(entries[len(head):])]
-    pool = [c for c in range(1, m + 1) if c != p]
-    # a pinned p keeps the top entry; every other candidate's is set by its run
-    row = [entries[0]] * m
+    sizes = [len(tuple(run)) for _, run in itertools.groupby(entries[len(head):])]
 
-    def extend(prefix: Order, left: list[int], i: int) -> Iterator[tuple[Order, tuple[int, ...]]]:
+    def extend(prefix: Order, left: list[int], i: int) -> Iterator[Order]:
         # recursion depth is the number of runs, and k runs already mean
         # at least k! ballots, so the depth stays far below any limit
-        if i == len(runs):
-            yield prefix, tuple(row)
+        if i == len(sizes):
+            yield prefix
             return
-        value, size = runs[i]
-        for block in itertools.combinations(left, size):
-            for c in block:
-                row[c - 1] = value
+        for block in itertools.combinations(left, sizes[i]):
             yield from extend(prefix + block, [c for c in left if c not in block], i + 1)
 
-    yield from extend(head, pool, 0)
+    yield from extend(head, [c for c in range(1, m + 1) if c != p], 0)
 
 
 def _row_count(entries: tuple[int, ...], pinned: bool) -> int:
@@ -260,7 +252,6 @@ def _search(
     mode = MODES[dc.tag]
     entries = normalize_last_zero(vec).entries
     fixed = tally(inst.s_voters, vec)
-    p = inst.p - 1
     nrows = _row_count(entries, restrict_p_first)
     weights = inst.t_weights
     n = len(weights)
@@ -285,8 +276,10 @@ def _search(
     failed: set[tuple[int, ...]] = set()
     keys: list[tuple[int, ...] | None] = [None] * n  # the state of each tabled node on the path
     picks = [0] * n
+    # rooms list the rivals in increasing order
+    rivals = [c for c in range(1, vec.m + 1) if c != inst.p]
     best = fixed[inst.p] + top * rest[0] - (1 if unique else 0)
-    rooms = [[best - score for c, score in fixed.items() if c != inst.p]] + [None] * n
+    rooms = [[best - fixed[c] for c in rivals]] + [None] * n
     # cut terminals by cause: monotone, capacity, pairing, repeats
     cuts = [0, 0, 0, 0]
     terminals = deepest = 0
@@ -341,12 +334,12 @@ def _search(
                 break
             pick = picks[level] + 1
         if pick == len(ballots):
-            ballot, row = next(next_row)
+            ballot = next(next_row)
             ballots.append(ballot)
-            lost = top - row[p]  # 0 with p pinned first
-            rivals = row[:p] + row[p + 1:]
+            row = dict(zip(ballot, entries))  # each candidate's entry
+            lost = top - row[inst.p]  # 0 with p pinned first
             for w, took in by_weight.items():
-                took.append([w * (lost + x) for x in rivals])
+                took.append([w * (lost + row[c]) for c in rivals])
         picks[level] = pick
         rooms[level + 1] = list(map(sub, rooms[level], takes[level][pick]))
         level += 1
@@ -380,9 +373,9 @@ def brute_force(
     first unless ``restrict_p_first`` is off).  Voters are assigned left
     to right and the first satisfying assignment in lexicographic ballot
     order wins, so answers and witnesses are reproducible.  A monotone
-    score bound, a capacity bound on the highest-scoring rivals, an exact
-    test of the last voter, a bounded table of failed states and an
-    equal-weight symmetry cut prune branches that cannot hold that
+    bound on the rivals' rooms, a capacity bound on the smallest rooms,
+    an exact test of the last voter, a bounded table of failed states and
+    an equal-weight symmetry cut prune branches that cannot hold that
     witness (see :func:`_search`).  Each row is built the first time the
     search picks it, so bounds that cut the empty assignment build none,
     and a first leaf that wins builds one.  ``verify_reduction`` asks only

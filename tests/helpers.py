@@ -118,9 +118,9 @@ def count_row_builds(monkeypatch):
     def counted(*args):
         ballots = []
         drawn.append(ballots)
-        for ballot, row in build(*args):
+        for ballot in build(*args):
             ballots.append(ballot)
-            yield ballot, row
+            yield ballot
 
     monkeypatch.setattr(manipulation, "_row_ballots", counted)
     return drawn

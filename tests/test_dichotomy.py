@@ -267,6 +267,16 @@ class TestFamilyVectors:
         with pytest.raises(ValueError, match="explicit famil"):
             ScoringFamily.explicit(vectors)
 
+    def test_malformed_explicit_tables(self):
+        shape = "map each candidate count to a scoring vector of that size, got "
+        # a mapping is the likely slip, since only ScoringFamily.explicit takes one
+        for table in ({3: SV((1, 1, 0))}, (5,), ((3,),), ((3, SV((1, 1, 0)), 0),), 5):
+            with pytest.raises(ValueError, match=shape):
+                ScoringFamily("explicit", table=table)
+        for make in (lambda: ScoringFamily("explicit"), lambda: ScoringFamily.explicit({})):
+            with pytest.raises(ValueError, match="explicit families need at least one vector"):
+                make()
+
     def test_explicit_size_defined_once(self):
         with pytest.raises(ValueError, match="m=2 twice"):
             ScoringFamily("explicit", table=((2, SV((1, 0))), (2, SV((2, 0)))))

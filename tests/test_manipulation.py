@@ -490,9 +490,6 @@ class TestRootCut:
             for p in (None, *range(1, m + 1)):
                 built = list(_row_ballots(entries, m, p))
                 assert manipulation._row_count(entries, p is not None) == len(built)
-                # each ballot comes with its score row, candidate c's entry at c - 1
-                for ballot, row in built:
-                    assert row == tuple(entries[ballot.index(c)] for c in range(1, m + 1))
 
 
 def multinomial(entries, pinned):
@@ -523,6 +520,31 @@ class TestRowCount:
         entries = family_vector(family, 20000).entries
         for pinned in (False, True):
             assert manipulation._row_count(entries, pinned) == multinomial(entries, pinned)
+
+
+class TestRowBallots:
+    def test_first_ballot_of_each_row(self):
+        # the oracle scans every ballot in lexicographic order (p-first ones
+        # only when p is pinned) and keeps the first of each distinct score row
+        def first_ballots(entries, m, p):
+            firsts = {}
+            for ballot in itertools.permutations(range(1, m + 1)):
+                if p is None or ballot[0] == p:
+                    row = tuple(entries[ballot.index(c)] for c in range(1, m + 1))
+                    firsts.setdefault(row, ballot)
+            return sorted(firsts.values())
+
+        rng = random.Random(11)
+        negative = runs = 0
+        for _ in range(60):
+            m = rng.randint(1, 6)
+            entries = random_nonincreasing(rng, m, lo=-3, hi=3).entries
+            negative += min(entries) < 0
+            runs += len(set(entries)) < m
+            for p in (None, *range(1, m + 1)):
+                got = list(_row_ballots(entries, m, p))
+                assert got == first_ballots(entries, m, p), (entries, p)
+        assert negative > 20 and runs > 20
 
 
 class TestRowBudget:
